@@ -21,13 +21,13 @@
 //
 //   CFL_POOL_SAFE
 //     Trails a function declarator (before the body/semicolon) to assert
-//     the function is safe to call from a ThreadPool worker body without
-//     being declared noexcept — e.g. it allocates, and the sanctioned
-//     InvokeBody boundary converting bad_alloc into a contextful CFL_CHECK
-//     failure is preferable to std::terminate. Rule `worker-noexcept`
-//     requires every src/parallel/-defined function called from a
-//     ThreadPool::Run lambda to be noexcept or carry this marker; the
-//     ThreadPool internals themselves (WorkerLoop, InvokeBody) must be
+//     the function is safe to call from a TaskPool task without being
+//     declared noexcept — e.g. it allocates, and the sanctioned InvokeTask
+//     boundary converting bad_alloc into a contextful CFL_CHECK failure is
+//     preferable to std::terminate. Rule `worker-noexcept` requires every
+//     src/parallel/-defined function called from a lambda handed to
+//     TaskPool::Submit or ForkJoin to be noexcept or carry this marker; the
+//     TaskPool internals themselves (WorkerLoop, InvokeTask) must be
 //     genuinely noexcept, since they run outside that boundary.
 //
 // Header-only and dependency-free (like check.h) so the bottom-most

@@ -31,9 +31,9 @@
 // Thread-sharing contract: a built Cpi is immutable — it has no mutable
 // members and no const accessor writes any state — so one instance may be
 // read concurrently from any number of enumeration workers without
-// synchronization (parallel/parallel_match.h relies on this). Keep it that
-// way: lazy caches inside const accessors would silently break the
-// parallel matcher. The CFL_IMMUTABLE_AFTER_BUILD marker below has
+// synchronization (match/count_driver.h relies on this). Keep it that
+// way: lazy caches inside const accessors would silently break parallel
+// counting. The CFL_IMMUTABLE_AFTER_BUILD marker below has
 // tools/cfl_lint enforce the contract (no non-const public methods, no
 // mutable members, no const_cast); see check/thread_annotations.h.
 

@@ -35,8 +35,8 @@
 // Instances are created through `GraphBuilder` (graph_builder.h). Once
 // built, a Graph is immutable: every accessor is const and writes nothing
 // (no mutable members, no lazy caches), so a single instance is safe to
-// share by reference across concurrent enumeration workers — the parallel
-// matcher (parallel/parallel_match.h) depends on this contract. The
+// share by reference across concurrent enumeration workers — the counting
+// driver (match/count_driver.h) depends on this contract. The
 // CFL_IMMUTABLE_AFTER_BUILD marker below makes the contract machine-checked:
 // tools/cfl_lint rejects non-const public methods, mutable members, and
 // const_cast in marked classes (see check/thread_annotations.h).

@@ -1,16 +1,14 @@
 #include "match/cfl_match.h"
 
-#include <unordered_map>
-
 #include "check/check.h"
 #include "check/validate.h"
 #include "cpi/root_select.h"
 #include "decomp/cfl_decomposition.h"
 #include "decomp/two_core.h"
+#include "match/count_driver.h"
 #include "match/enumerator.h"
 #include "match/leaf_match.h"
 #include "obs/clock.h"
-#include "order/cardinality.h"
 
 namespace cfl {
 
@@ -22,20 +20,6 @@ CflMatcher::CflMatcher(const Graph& data)
     ValidationResult r = ValidateGraph(data);
     CFL_CHECK(r.ok) << " — data graph invalid: " << r.error;
   }
-}
-
-double CflMatcher::EstimateEmbeddings(const Graph& q) {
-  std::vector<VertexId> core = TwoCoreVertices(q);
-  std::vector<VertexId> choices = core;
-  if (choices.empty()) {
-    for (VertexId u = 0; u < q.NumVertices(); ++u) choices.push_back(u);
-  }
-  VertexId root = SelectRoot(q, data_, label_degree_index_, choices);
-  BfsTree tree = BuildBfsTree(q, root);
-  Cpi cpi = cpi_builder_.Build(q, tree, CpiStrategy::kRefined);
-  if (cpi.HasEmptyCandidateSet()) return 0.0;
-  std::vector<bool> all(q.NumVertices(), true);
-  return TreeCardinality(cpi, root, all);
 }
 
 PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
@@ -106,95 +90,56 @@ PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
 }
 
 MatchResult CflMatcher::Match(const Graph& q, const MatchOptions& options) {
-  MatchResult result;
   WallTimer total_timer;
-
   PreparedQuery prepared = Prepare(q, options);
+  if (!options.on_embedding) {
+    MatchResult result =
+        CountMatches(data_, q, prepared, options.limits, 1, nullptr);
+    result.total_seconds = total_timer.Lap();
+    return result;
+  }
+
+  MatchResult result;
   const Cpi& cpi = prepared.cpi;
   const MatchingOrder& order = prepared.order;
   result.build_seconds = prepared.build_seconds;
   result.order_seconds = prepared.order_seconds;
   result.index_entries = cpi.SizeInEntries();
   CFL_STATS_ONLY(result.stats = prepared.stats;)
-
   if (prepared.no_results) {
     result.total_seconds = total_timer.Lap();
     return result;
   }
 
-  // --- Enumeration -------------------------------------------------------
+  // Enumeration mode: expand leaf assignments and invoke the callback.
   WallTimer phase_timer;
   Deadline deadline(options.limits.time_limit_seconds);
   EnumeratorState state(q.NumVertices(), data_.NumVertices());
   LeafMatcher leaf_matcher(q, cpi, order.leaves);
   const uint64_t cap = options.limits.max_embeddings;
-  const bool compressed = data_.HasMultiplicities();
-
-  EnumerateStatus status;
-  if (!options.on_embedding) {
-    // Counting mode: leaf completions are counted as Cartesian products of
-    // label-class counts — never materialized.
-    status = EnumeratePartial(
-        data_, cpi, order.steps, state, deadline, [&]() {
-          uint64_t count = 1;
-          if (compressed) {
-            // Unmatched leaf entries are kInvalidVertex and skipped; the
-            // leaf count below already accounts for leaf expansions.
-            count = ExpansionFactor(data_, state.mapping);
-          }
-          if (leaf_matcher.HasLeaves()) {
-            // Leaf time is sampled (1 in kLeafSampleStride calls), not
-            // measured per call: CountEmbeddings is the hottest call site
-            // and two clock reads per visit would dominate it.
-            CFL_STATS_ONLY(++state.stats.leaf_calls;
-                           obs::TimePoint leaf_t0;
-                           const bool sample = state.stats.ShouldSampleLeaf();
-                           if (sample) leaf_t0 = obs::Now();)
-            const uint64_t leaf_count =
-                leaf_matcher.CountEmbeddings(data_, state);
-            CFL_STATS_ONLY(if (sample) {
-              ++state.stats.leaf_sampled_calls;
-              state.stats.leaf_sampled_seconds += obs::SecondsSince(leaf_t0);
-            } state.stats.leaf_products =
-                  SaturatingAdd(state.stats.leaf_products, leaf_count);)
-            count = SaturatingMul(count, leaf_count);
-          }
-          result.embeddings = SaturatingAdd(result.embeddings, count);
-          return result.embeddings < cap;
-        });
-  } else {
-    // Enumeration mode: expand leaf assignments and invoke the callback.
-    const bool validate_embeddings = check::DebugValidationEnabled();
-    status = EnumeratePartial(
-        data_, cpi, order.steps, state, deadline, [&]() {
-          CFL_STATS_ONLY(
-              if (leaf_matcher.HasLeaves()) ++state.stats.leaf_calls;)
-          EnumerateStatus leaf_status = leaf_matcher.EnumerateEmbeddings(
-              data_, state, deadline, [&]() {
-                ++result.embeddings;
-                if (validate_embeddings) {
-                  ValidationResult r =
-                      ValidateEmbedding(q, data_, state.mapping);
-                  CFL_CHECK(r.ok) << " — emitted embedding invalid: "
-                                  << r.error;
-                }
-                bool keep = options.on_embedding(state.mapping);
-                return keep && result.embeddings < cap;
-              });
-          if (leaf_status == EnumerateStatus::kTimedOut) {
-            result.timed_out = true;
-          }
-          return leaf_status == EnumerateStatus::kDone;
-        });
-  }
+  const bool validate_embeddings = check::DebugValidationEnabled();
+  const EnumerateStatus status = EnumeratePartial(
+      data_, cpi, order.steps, state, deadline, [&]() {
+        CFL_STATS_ONLY(if (leaf_matcher.HasLeaves()) ++state.stats.leaf_calls;)
+        EnumerateStatus leaf_status = leaf_matcher.EnumerateEmbeddings(
+            data_, state, deadline, [&]() {
+              ++result.embeddings;
+              if (validate_embeddings) {
+                ValidationResult r = ValidateEmbedding(q, data_, state.mapping);
+                CFL_CHECK(r.ok) << " — emitted embedding invalid: " << r.error;
+              }
+              bool keep = options.on_embedding(state.mapping);
+              return keep && result.embeddings < cap;
+            });
+        if (leaf_status == EnumerateStatus::kTimedOut) {
+          result.timed_out = true;
+        }
+        return leaf_status == EnumerateStatus::kDone;
+      });
 
   if (status == EnumerateStatus::kTimedOut) result.timed_out = true;
-  // The two stop flags are independent: reached_limit reports the cap was
-  // hit, timed_out reports the deadline expired, and a run that does both in
-  // the same instant reports both — every engine (serial, parallel, the
-  // baselines) classifies identically, which cfl_difftest asserts.
+  // Same tie-break as the counting driver (match/count_driver.h).
   result.reached_limit = result.embeddings >= cap;
-
   result.candidates_tried = state.candidates_tried;
   result.candidates_bound = state.candidates_bound;
   result.enumerate_seconds = phase_timer.Lap();
@@ -205,11 +150,9 @@ MatchResult CflMatcher::Match(const Graph& q, const MatchOptions& options) {
     s.candidates_tried = result.candidates_tried;
     s.candidates_bound = result.candidates_bound;
     s.embeddings_found = result.embeddings;
-    s.threads = 1;
     s.root_candidates = cpi.NumCandidates(order.steps.front().u);
-    // Serial run: the one "worker" claims every root it exhausted. Report
-    // the full count only for complete runs; a stop/timeout leaves it
-    // unknown, and claiming fewer than root_candidates is always sound.
+    // One sequential pass claims every root; a stop or timeout leaves the
+    // count unknown, and claiming fewer than root_candidates is sound.
     s.worker_roots_claimed.assign(
         1, status == EnumerateStatus::kDone ? s.root_candidates : 0);
   })

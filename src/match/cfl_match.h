@@ -55,7 +55,7 @@ struct MatchOptions {
 // BFS tree, CPI, and matching order (steps 1-3 of the pipeline above).
 // Once built, a PreparedQuery is immutable and reads only const state of
 // the data graph, so one instance can be shared by reference across any
-// number of concurrent enumeration workers (see parallel/parallel_match.h).
+// number of concurrent enumeration shards (see match/count_driver.h).
 // The marker makes tools/cfl_lint reject mutations sneaking in as methods,
 // mutable members, or const_cast (rule `immutable-class`); workers must
 // treat the public fields as read-only after Prepare returns.
@@ -95,18 +95,10 @@ class CflMatcher {
 
   // Runs the pre-enumeration pipeline only (decomposition, root selection,
   // CPI construction, matching order). `Match` is exactly Prepare followed
-  // by enumeration; the parallel matcher calls Prepare once and enumerates
-  // the shared result from several workers. Not thread-safe: the CPI
-  // builder's scratch is reused across calls.
+  // by enumeration; the parallel matcher and the server call Prepare once
+  // and count over the shared result from several shards. Not thread-safe:
+  // the CPI builder's scratch is reused across calls.
   PreparedQuery Prepare(const Graph& q, const MatchOptions& options = {});
-
-  // Cheap cardinality estimate: the number of embeddings of q's BFS *tree*
-  // in the refined CPI (the same quantity Algorithm 2's cost model ranks
-  // paths by), computed without any enumeration. Ignores non-tree edges and
-  // injectivity, so it upper-approximates sparse queries and is exact for
-  // tree queries whose labels are pairwise distinct. Useful as a join-size
-  // estimate before committing to a full Match.
-  double EstimateEmbeddings(const Graph& q);
 
  private:
   const Graph& data_;

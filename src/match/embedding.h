@@ -34,10 +34,11 @@ struct MatchLimits {
 // search steps.
 class Deadline {
  public:
-  // seconds <= 0 constructs a never-expiring deadline.
-  explicit Deadline(double seconds) {
+  // Expires `seconds` after `start`; seconds <= 0 constructs a
+  // never-expiring deadline.
+  explicit Deadline(double seconds, obs::TimePoint start = obs::Now()) {
     if (seconds > 0.0) {
-      expires_at_ = obs::AfterSeconds(obs::Now(), seconds);
+      expires_at_ = obs::AfterSeconds(start, seconds);
       armed_ = true;
     }
   }

@@ -58,7 +58,7 @@ struct EnumeratorState {
   uint64_t candidates_bound = 0;
 
   // Detailed stats shard (obs/stats.h). Worker-private like the rest of the
-  // state: the parallel matcher merges shards only after the join barrier.
+  // state: the counting driver merges shards only after the join.
   EnumStats stats;
 
   EnumeratorState(uint32_t query_vertices, uint32_t data_vertices)
@@ -76,8 +76,8 @@ struct EnumeratorState {
 // of root candidate positions [root_begin, min(root_end, |C(root)|)). The
 // search spaces of disjoint root ranges are disjoint and their union (over a
 // partition of the full range) is exactly the full search space — this is
-// the partitioning axis of the parallel matcher (see parallel/
-// parallel_match.h). The defaults cover the whole candidate set.
+// the partitioning axis of the counting driver (see match/count_driver.h).
+// The defaults cover the whole candidate set.
 template <typename Visitor>
 EnumerateStatus EnumeratePartial(
     const Graph& data, const Cpi& cpi, std::span<const MatchStep> steps,

@@ -22,9 +22,9 @@
 //     Recorded into the worker-private EnumeratorState (the thread-local
 //     shard) and merged into MatchStats at the join barrier, so recording
 //     itself is never contended.
-//   * Per-worker root-claim counts for the parallel matcher: without a cap
-//     or deadline their sum equals the root candidate count exactly (each
-//     root is claimed once), at any thread count.
+//   * Per-shard root-claim counts of the counting driver: without a cap or
+//     deadline their sum equals the root candidate count exactly (each root
+//     is claimed once), at any shard count.
 //
 // Compile-time gate: configure with -DCFL_STATS=OFF and every recording
 // site (all wrapped in CFL_STATS_ONLY) compiles to nothing — the hot path
@@ -156,10 +156,10 @@ struct MatchStats {
   double LeafSecondsEstimate() const;
 
   // --- Parallel run shape -------------------------------------------------
-  uint32_t threads = 1;
+  uint32_t threads = 1;  // shards the counting driver ran
   uint64_t root_candidates = 0;  // |C(root)| — the parallel work units
-  // Roots claimed per worker (size == threads for parallel runs, {n} for
-  // serial). Without a cap or deadline the entries sum to root_candidates.
+  // Roots claimed per shard (size == threads). Without a cap or deadline
+  // the entries sum to root_candidates.
   std::vector<uint64_t> worker_roots_claimed;
 
   uint64_t TotalRootsClaimed() const;

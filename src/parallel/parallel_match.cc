@@ -1,169 +1,31 @@
 #include "parallel/parallel_match.h"
 
-#include <atomic>
+#include <functional>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "match/enumerator.h"
-#include "match/leaf_match.h"
+#include "match/count_driver.h"
 #include "obs/clock.h"
 
 namespace cfl {
 
-namespace {
-
-using obs::WallTimer;
-
-// Saturating accumulate on the shared embedding budget: leaf-match products
-// can individually saturate at kNoLimit, so a plain fetch_add could wrap.
-// Returns the post-add value.
-uint64_t AtomicSaturatingAdd(std::atomic<uint64_t>& total,
-                             uint64_t delta) noexcept {
-  uint64_t current = total.load(std::memory_order_relaxed);
-  uint64_t next;
-  do {
-    next = SaturatingAdd(current, delta);
-  } while (!total.compare_exchange_weak(current, next,
-                                        std::memory_order_relaxed));
-  return next;
-}
-
-}  // namespace
-
 ParallelCflMatcher::ParallelCflMatcher(const Graph& data, uint32_t threads)
-    : serial_(data), pool_(threads) {}
+    : serial_(data),
+      threads_(threads == 0 ? 1 : threads),
+      pool_(threads_ > 1 ? std::make_unique<TaskPool>(threads_) : nullptr) {}
 
 MatchResult ParallelCflMatcher::Match(const Graph& q,
                                       const MatchOptions& options) {
   // Enumeration mode: the per-embedding callback is a sequential contract.
-  if (options.on_embedding) return serial_.Match(q, options);
-
-  MatchResult result;
-  WallTimer total_timer;
-
+  if (options.on_embedding || pool_ == nullptr) {
+    return serial_.Match(q, options);
+  }
+  obs::WallTimer total_timer;
   PreparedQuery prepared = serial_.Prepare(q, options);
-  const Graph& data = serial_.data();
-  const Cpi& cpi = prepared.cpi;
-  result.build_seconds = prepared.build_seconds;
-  result.order_seconds = prepared.order_seconds;
-  result.index_entries = cpi.SizeInEntries();
-  CFL_STATS_ONLY(result.stats = prepared.stats;)
-
-  if (prepared.no_results || prepared.order.steps.empty()) {
-    result.total_seconds = total_timer.Lap();
-    return result;
-  }
-
-  WallTimer phase_timer;
-  const std::span<const MatchStep> steps(prepared.order.steps);
-  const uint32_t root_count =
-      CheckedCandidateCount(cpi.Candidates(steps[0].u).size());
-  const uint64_t cap = options.limits.max_embeddings;
-  const bool compressed = data.HasMultiplicities();
-
-  // Shared, all-workers state — every field here is a std::atomic or const,
-  // the discipline the concurrency contracts require (anything else shared
-  // across workers would need a CFL_GUARDED_BY mutex; see
-  // check/thread_annotations.h and DESIGN.md §7). `total` is the embedding
-  // budget; `stop` is raised when it crosses the cap so every worker
-  // abandons its subtree at the next visit / next root claim. `next_root`
-  // is the work-stealing cursor. The deadline instant is fixed here, before
-  // the fork, so all workers expire together regardless of when they start.
-  std::atomic<uint32_t> next_root CFL_ATOMIC_INTENT(counter){0};
-  std::atomic<uint64_t> total CFL_ATOMIC_INTENT(counter){0};
-  std::atomic<bool> stop CFL_ATOMIC_INTENT(flag){false};
-  std::atomic<bool> timed_out CFL_ATOMIC_INTENT(flag){false};
-
-  const Deadline shared_deadline(options.limits.time_limit_seconds);
-  const LeafMatcher leaf_prototype(q, cpi, prepared.order.leaves);
-
-  // Per-worker effort counters and stats shards, merged in worker order at
-  // the barrier. Each worker writes only its own slot while the pool runs;
-  // the main thread reads them after the join, so no slot is ever contended
-  // (at worst adjacent slots share a cache line).
-  // cfl-lint: allow(narrowing) ThreadPool::size() is already uint32_t
-  const uint32_t workers = pool_.size();
-  std::vector<uint64_t> tried(workers, 0);
-  std::vector<uint64_t> bound(workers, 0);
-  CFL_STATS_ONLY(std::vector<EnumStats> shards(workers);
-                 std::vector<uint64_t> roots_claimed(workers, 0);)
-
-  pool_.Run([&](uint32_t worker) {
-    // Private mutable state: search stacks, leaf-match scratch, and the
-    // deadline's coarse-tick cache (same expiry instant as every worker).
-    EnumeratorState state(q.NumVertices(), data.NumVertices());
-    LeafMatcher leaf_matcher = leaf_prototype;
-    Deadline deadline = shared_deadline;
-
-    auto visit = [&]() {
-      uint64_t count = 1;
-      if (compressed) {
-        count = ExpansionFactor(data, state.mapping);
-      }
-      if (leaf_matcher.HasLeaves()) {
-        // Sampled leaf timing, same scheme as the serial matcher (the
-        // per-worker shard keeps its own sampling cursor).
-        CFL_STATS_ONLY(++state.stats.leaf_calls;
-                       obs::TimePoint leaf_t0;
-                       const bool sample = state.stats.ShouldSampleLeaf();
-                       if (sample) leaf_t0 = obs::Now();)
-        const uint64_t leaf_count = leaf_matcher.CountEmbeddings(data, state);
-        CFL_STATS_ONLY(if (sample) {
-          ++state.stats.leaf_sampled_calls;
-          state.stats.leaf_sampled_seconds += obs::SecondsSince(leaf_t0);
-        } state.stats.leaf_products =
-              SaturatingAdd(state.stats.leaf_products, leaf_count);)
-        count = SaturatingMul(count, leaf_count);
-      }
-      uint64_t after = AtomicSaturatingAdd(total, count);
-      if (after >= cap) {
-        stop.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      return !stop.load(std::memory_order_relaxed);
-    };
-
-    while (!stop.load(std::memory_order_relaxed)) {
-      const uint32_t r = next_root.fetch_add(1, std::memory_order_relaxed);
-      if (r >= root_count) break;
-      CFL_STATS_ONLY(++roots_claimed[worker];)
-      EnumerateStatus status = EnumeratePartial(
-          data, cpi, steps, state, deadline, visit, r, r + 1);
-      if (status == EnumerateStatus::kTimedOut) {
-        timed_out.store(true, std::memory_order_relaxed);
-        break;
-      }
-      if (status == EnumerateStatus::kStopped) break;
-    }
-    tried[worker] = state.candidates_tried;
-    bound[worker] = state.candidates_bound;
-    CFL_STATS_ONLY(shards[worker] = state.stats;)
-  });
-
-  result.embeddings = total.load(std::memory_order_relaxed);
-  result.timed_out = timed_out.load(std::memory_order_relaxed);
-  // Same tie-break as the serial matcher and the baselines: reached_limit
-  // iff the cap was hit, regardless of whether another worker's deadline
-  // expired in the same instant (both flags may be true). Without this a
-  // cap+deadline photo finish classified differently here than serially.
-  result.reached_limit = result.embeddings >= cap;
-  for (uint32_t w = 0; w < workers; ++w) {
-    result.candidates_tried += tried[w];
-    result.candidates_bound += bound[w];
-  }
-  result.enumerate_seconds = phase_timer.Lap();
-  CFL_STATS_ONLY({
-    MatchStats& s = result.stats;
-    s.enumerate_seconds = result.enumerate_seconds;
-    for (const EnumStats& shard : shards) s.enumeration.Merge(shard);
-    s.candidates_tried = result.candidates_tried;
-    s.candidates_bound = result.candidates_bound;
-    s.embeddings_found = result.embeddings;
-    s.threads = workers;
-    s.root_candidates = root_count;
-    s.worker_roots_claimed = std::move(roots_claimed);
-  })
+  MatchResult result = CountMatches(
+      serial_.data(), q, prepared, options.limits, threads_,
+      [this](uint32_t n, const std::function<void(uint32_t)>& body) {
+        ForkJoin(*pool_, n, body);
+      });
   result.total_seconds = total_timer.Lap();
   return result;
 }

@@ -1,38 +1,13 @@
-// Parallel CFL-Match: root-partitioned enumeration over a shared CPI.
+// Parallel CFL-Match: the counting driver (match/count_driver.h) forked
+// onto a private TaskPool.
 //
-// The CPI decomposes the search space by root candidate: the subtree of
-// embeddings reachable from root candidate position r is independent of
-// every other root candidate (Algorithm 5 backtracks to the root between
-// them and never carries state across). That makes root positions a
-// perfect parallel work unit — the CPI, matching order, and data graph
-// are built once and shared *immutably* by reference, while everything
-// enumeration mutates (EnumeratorState, LeafMatcher scratch, Deadline
-// tick cache) is private to a worker.
-//
-// Work distribution is a work-stealing claim counter: workers grab the
-// next unclaimed root position from a shared atomic cursor, so a skewed
-// root (one candidate hosting most of the search space) only pins the one
-// worker that claimed it while the rest drain the remaining roots.
-//
-// Early-stop semantics match the serial engine's MatchLimits contract:
-//   * max_embeddings — a shared atomic running count; the worker whose
-//     visit crosses the cap raises a stop flag all workers poll. Like the
-//     serial engine, the final count may overshoot the cap by the last
-//     visit's leaf-product; counts are exact whenever the cap is not hit.
-//   * time_limit_seconds — one deadline instant fixed before the fork;
-//     each worker polls a private copy (same expiry, private coarse-tick
-//     cache), so all workers cut off at the same wall-clock moment.
-//
-// Counts and effort counters are merged deterministically at the join
-// barrier (per-worker partials summed in worker order). Without a cap or
-// deadline hit the total is the exact embedding count, identical at any
-// thread count, because the root ranges partition the search space.
-//
-// Concurrency contracts are machine-checked: the shared structures (Graph,
-// Cpi, PreparedQuery) carry CFL_IMMUTABLE_AFTER_BUILD, everything shared
-// and mutable during a Run is a std::atomic, and the pool's own fields are
-// CFL_GUARDED_BY its mutex — Clang Thread Safety Analysis plus
-// tools/cfl_lint enforce all three (check/thread_annotations.h).
+// Prepare runs once; the driver then splits enumeration by root candidate
+// into min(threads, |C(root)|) shards that claim roots from a shared atomic
+// cursor. Counts are identical to the serial matcher at any thread count
+// unless a cap or deadline cuts the run short. The shared structures
+// (Graph, Cpi, PreparedQuery) carry CFL_IMMUTABLE_AFTER_BUILD and
+// everything shared and mutable during a run is a std::atomic; Clang Thread
+// Safety Analysis plus tools/cfl_lint enforce both.
 
 #ifndef CFL_PARALLEL_PARALLEL_MATCH_H_
 #define CFL_PARALLEL_PARALLEL_MATCH_H_
@@ -43,21 +18,21 @@
 #include "graph/graph.h"
 #include "match/cfl_match.h"
 #include "match/engine.h"
-#include "parallel/thread_pool.h"
+#include "parallel/task_pool.h"
 
 namespace cfl {
 
 class ParallelCflMatcher {
  public:
-  // `threads` == 0 is clamped to 1; 1 runs inline on the caller (no worker
-  // threads), making the single-threaded configuration genuinely serial.
+  // `threads` == 0 is clamped to 1; 1 is the serial matcher (no pool, no
+  // worker threads).
   ParallelCflMatcher(const Graph& data, uint32_t threads);
 
   ParallelCflMatcher(const ParallelCflMatcher&) = delete;
   ParallelCflMatcher& operator=(const ParallelCflMatcher&) = delete;
 
   const Graph& data() const { return serial_.data(); }
-  uint32_t threads() const { return pool_.size(); }
+  uint32_t threads() const { return threads_; }
 
   // Same contract as CflMatcher::Match. Counting mode (no on_embedding
   // callback) is parallelized; enumeration mode falls back to the serial
@@ -67,7 +42,8 @@ class ParallelCflMatcher {
 
  private:
   CflMatcher serial_;  // Prepare pipeline + enumeration-mode fallback
-  ThreadPool pool_;
+  const uint32_t threads_;
+  std::unique_ptr<TaskPool> pool_;  // null when threads_ == 1
 };
 
 // Engine wrapper for the benches, the difftest oracle, and the equivalence

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "check/check.h"
-#include "check/narrow.h"
 
 namespace cfl {
 
@@ -26,8 +25,8 @@ TaskPool::~TaskPool() {
 
 void TaskPool::InvokeTask(const std::function<void()>& task) noexcept {
   // Fail fast with the message instead of letting the exception escape the
-  // worker thread (std::terminate with no context); same boundary as
-  // ThreadPool::InvokeBody.
+  // worker thread (std::terminate with no context) or skip the task's
+  // latch CountDown and strand its ForkJoin caller.
   try {
     task();
   } catch (const std::exception& e) {
@@ -47,11 +46,6 @@ void TaskPool::Submit(std::function<void()> task) {
   task_ready_.NotifyOne();
 }
 
-uint32_t TaskPool::PendingTasks() {
-  MutexLock lock(mu_);
-  return CheckedU32(queue_.size()) + in_flight_;
-}
-
 void TaskPool::WorkerLoop() noexcept {
   while (true) {
     std::function<void()> task;
@@ -64,13 +58,8 @@ void TaskPool::WorkerLoop() noexcept {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     InvokeTask(task);
-    {
-      MutexLock lock(mu_);
-      --in_flight_;
-    }
   }
 }
 
@@ -87,6 +76,18 @@ void TaskLatch::Wait() {
   MutexLock lock(mu_);
   // cfl-analyze: allow(blocking-under-lock) latch barrier: Wait releases mu_
   while (remaining_ != 0) done_.Wait(mu_);
+}
+
+void ForkJoin(TaskPool& pool, uint32_t n,
+              const std::function<void(uint32_t)>& body) {
+  TaskLatch latch(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    pool.Submit([&body, &latch, i] {
+      body(i);
+      latch.CountDown();
+    });
+  }
+  latch.Wait();
 }
 
 }  // namespace cfl

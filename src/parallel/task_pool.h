@@ -1,23 +1,19 @@
-// Shared task-queue pool for concurrent multi-query scheduling.
+// The one worker-pool type: every parallel enumeration — the parallel
+// matcher's and the server's — runs as tasks on a TaskPool.
 //
-// ThreadPool (thread_pool.h) is a fork-join parallel region: one Run at a
-// time, every worker executes the same body, the caller blocks at the join
-// barrier. That is the right shape for one query using the whole machine —
-// and exactly the wrong shape for a resident server, where many queries
-// must share the same workers without monopolizing them. `TaskPool` is the
-// complementary primitive: callers Submit independent tasks, N workers
-// drain the FIFO, and nothing ever blocks a submitter. Per-query fan-out is
-// rebuilt on top with `TaskLatch` (a countdown the query's session waits
-// on), so a query granted a quota of k enqueues k shard tasks and waits for
-// its own latch while other queries' shards interleave on the same workers.
+// Callers Submit independent tasks, N workers drain the FIFO, and nothing
+// ever blocks a submitter, so many queries can share the same workers
+// without monopolizing them. Fork-join is rebuilt on top: `ForkJoin` fans n
+// shard tasks out and blocks on a `TaskLatch` (a countdown) until all have
+// returned, while other callers' tasks interleave on the same workers.
 //
-// Lock discipline matches ThreadPool: every cross-thread field is
-// CFL_GUARDED_BY the one pool mutex, Clang TSA-checked; task bodies must
-// not throw (same fail-fast boundary as ThreadPool::InvokeBody).
+// Lock discipline: every cross-thread field is CFL_GUARDED_BY the one pool
+// mutex, Clang TSA-checked. Task bodies must not throw: InvokeTask is the
+// worker boundary and fails fast with the message.
 //
-// Unlike ThreadPool, size 1 still spawns one worker thread: Submit must
-// return immediately even when the pool is busy (a server's accept loop
-// cannot run queries inline).
+// Size 1 still spawns one worker thread: Submit must return immediately
+// even when the pool is busy (a server's accept loop cannot run queries
+// inline), and the server's worker count must bound its enumeration CPU.
 
 #ifndef CFL_PARALLEL_TASK_POOL_H_
 #define CFL_PARALLEL_TASK_POOL_H_
@@ -51,15 +47,10 @@ class TaskPool {
   // boundary and fails fast via CFL_CHECK with the message.
   void Submit(std::function<void()> task) CFL_EXCLUDES(mu_);
 
-  // Tasks submitted and not yet finished (queued + running). Advisory: the
-  // value is stale the moment it returns; the admission controller uses it
-  // only to size quotas. Non-const because it takes the pool mutex (the
-  // lint's mutable-member rule rightly bans a mutable Mutex).
-  uint32_t PendingTasks() CFL_EXCLUDES(mu_);
-
  private:
-  // noexcept: runs on the worker thread outside the InvokeTask boundary
-  // (same rationale as ThreadPool::WorkerLoop).
+  // noexcept: runs on the worker thread outside the InvokeTask boundary,
+  // where an escaped exception is an immediate std::terminate with no
+  // context (enforced by cfl_analyze rule worker-noexcept).
   void WorkerLoop() noexcept CFL_EXCLUDES(mu_);
 
   // The worker boundary: invokes the task and converts any escaped
@@ -72,16 +63,14 @@ class TaskPool {
   CondVar task_ready_;  // signaled under mu_: new task or shutdown
 
   std::deque<std::function<void()>> queue_ CFL_GUARDED_BY(mu_);
-  uint32_t in_flight_ CFL_GUARDED_BY(mu_) = 0;  // tasks currently running
   bool shutdown_ CFL_GUARDED_BY(mu_) = false;
 
   std::vector<std::thread> workers_;
 };
 
-// Countdown completion latch: a query that fans k shard tasks out onto a
-// shared TaskPool constructs a TaskLatch(k), each shard calls CountDown()
-// as it finishes, and the query's session thread Wait()s — the fork-join
-// barrier of ThreadPool::Run, rebuilt per query on shared workers.
+// Countdown completion latch: a caller that fans k tasks out onto a shared
+// TaskPool constructs a TaskLatch(k), each task calls CountDown() as it
+// finishes, and the caller Wait()s — the fork-join barrier.
 class TaskLatch {
  public:
   explicit TaskLatch(uint32_t count) : remaining_(count) {}
@@ -99,6 +88,12 @@ class TaskLatch {
   CondVar done_;  // signaled under mu_ when remaining_ hits zero
   uint32_t remaining_ CFL_GUARDED_BY(mu_);
 };
+
+// Runs body(i) for every i in [0, n) as n tasks on `pool` and returns once
+// all have returned. Never call it from a task on the same pool: with every
+// worker blocked in ForkJoin, nothing would run the forked tasks.
+void ForkJoin(TaskPool& pool, uint32_t n,
+              const std::function<void(uint32_t)>& body);
 
 }  // namespace cfl
 

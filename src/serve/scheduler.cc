@@ -1,36 +1,13 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
-#include <span>
-#include <vector>
+#include <functional>
 
 #include "check/check.h"
-#include "match/enumerator.h"
-#include "match/leaf_match.h"
+#include "match/count_driver.h"
 #include "obs/clock.h"
 
 namespace cfl::serve {
-
-namespace {
-
-using obs::WallTimer;
-
-// Same saturating accumulate as parallel/parallel_match.cc: leaf-match
-// products can individually saturate at kNoLimit, so a plain fetch_add
-// could wrap. Returns the post-add value.
-uint64_t AtomicSaturatingAdd(std::atomic<uint64_t>& total,
-                             uint64_t delta) noexcept {
-  uint64_t current = total.load(std::memory_order_relaxed);
-  uint64_t next;
-  do {
-    next = SaturatingAdd(current, delta);
-  } while (!total.compare_exchange_weak(current, next,
-                                        std::memory_order_relaxed));
-  return next;
-}
-
-}  // namespace
 
 AdmissionTicket::AdmissionTicket(QueryScheduler& scheduler)
     : scheduler_(scheduler), quota_(scheduler.AcquireSlot()) {}
@@ -89,98 +66,22 @@ MatchResult QueryScheduler::Execute(const Graph& data, const Graph& query,
                                     const PreparedQuery& prepared,
                                     const MatchLimits& requested,
                                     uint32_t* quota_used) {
+  // The deadline counts from arrival, so time spent waiting for admission
+  // is charged to the request's time limit.
+  const obs::TimePoint arrival = obs::Now();
+  const MatchLimits limits = ClampLimits(requested);
   AdmissionTicket ticket(*this);
   if (quota_used != nullptr) *quota_used = ticket.quota();
 
-  MatchResult result;
-  WallTimer total_timer;
-  const MatchLimits limits = ClampLimits(requested);
-  const Cpi& cpi = prepared.cpi;
-  result.build_seconds = prepared.build_seconds;
-  result.order_seconds = prepared.order_seconds;
-  result.index_entries = cpi.SizeInEntries();
-
-  if (prepared.no_results || prepared.order.steps.empty()) {
-    result.total_seconds = total_timer.Lap();
-    return result;
-  }
-
-  WallTimer phase_timer;
-  const std::span<const MatchStep> steps(prepared.order.steps);
-  const uint32_t root_count =
-      CheckedCandidateCount(cpi.Candidates(steps[0].u).size());
-  const uint64_t cap = limits.max_embeddings;
-  const bool compressed = data.HasMultiplicities();
-
-  // Shared across this query's shard tasks: atomics only, the same
-  // discipline (and the same roles) as parallel/parallel_match.cc — `total`
-  // is the embedding budget, `stop` fans the cap out, `next_root` is the
-  // work-stealing cursor. The deadline instant is fixed before the fan-out
-  // so shards that start late (queued behind other queries' shards) expire
-  // at the same wall-clock moment: an admitted query's clock runs even
-  // while it waits for a worker.
-  std::atomic<uint32_t> next_root CFL_ATOMIC_INTENT(counter){0};
-  std::atomic<uint64_t> total CFL_ATOMIC_INTENT(counter){0};
-  std::atomic<bool> stop CFL_ATOMIC_INTENT(flag){false};
-  std::atomic<bool> timed_out CFL_ATOMIC_INTENT(flag){false};
-
-  const Deadline shared_deadline(limits.time_limit_seconds);
-  const LeafMatcher leaf_prototype(query, cpi, prepared.order.leaves);
-
-  const uint32_t shards = std::min(ticket.quota(), std::max(root_count, 1u));
-  std::vector<uint64_t> tried(shards, 0);
-  std::vector<uint64_t> bound(shards, 0);
-
-  TaskLatch latch(shards);
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    pool_.Submit([&, shard] {
-      EnumeratorState state(query.NumVertices(), data.NumVertices());
-      LeafMatcher leaf_matcher = leaf_prototype;
-      Deadline deadline = shared_deadline;
-
-      auto visit = [&]() {
-        uint64_t count = 1;
-        if (compressed) count = ExpansionFactor(data, state.mapping);
-        if (leaf_matcher.HasLeaves()) {
-          count = SaturatingMul(count, leaf_matcher.CountEmbeddings(data, state));
-        }
-        uint64_t after = AtomicSaturatingAdd(total, count);
-        if (after >= cap) {
-          stop.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        return !stop.load(std::memory_order_relaxed);
-      };
-
-      while (!stop.load(std::memory_order_relaxed)) {
-        const uint32_t r = next_root.fetch_add(1, std::memory_order_relaxed);
-        if (r >= root_count) break;
-        EnumerateStatus status = EnumeratePartial(data, cpi, steps, state,
-                                                  deadline, visit, r, r + 1);
-        if (status == EnumerateStatus::kTimedOut) {
-          timed_out.store(true, std::memory_order_relaxed);
-          break;
-        }
-        if (status == EnumerateStatus::kStopped) break;
-      }
-      tried[shard] = state.candidates_tried;
-      bound[shard] = state.candidates_bound;
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-
-  result.embeddings = total.load(std::memory_order_relaxed);
-  result.timed_out = timed_out.load(std::memory_order_relaxed);
-  // The engine-wide tie-break (asserted by cfl_difftest): reached_limit iff
-  // the cap was hit, independent of a simultaneous deadline expiry.
-  result.reached_limit = result.embeddings >= cap;
-  for (uint32_t s = 0; s < shards; ++s) {
-    result.candidates_tried += tried[s];
-    result.candidates_bound += bound[s];
-  }
-  result.enumerate_seconds = phase_timer.Lap();
-  result.total_seconds = total_timer.Lap();
+  // Even a quota-1 query runs on the pool, never on the session thread, so
+  // `workers` bounds the server's enumeration CPU.
+  MatchResult result = CountMatches(
+      data, query, prepared, limits, ticket.quota(),
+      [this](uint32_t n, const std::function<void(uint32_t)>& body) {
+        ForkJoin(pool_, n, body);
+      },
+      arrival);
+  result.total_seconds = result.OrderingSeconds() + obs::SecondsSince(arrival);
   return result;
 }
 

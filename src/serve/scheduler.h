@@ -1,17 +1,17 @@
 // Concurrent multi-query scheduling over a shared worker pool.
 //
-// A resident server cannot hand each query a private fork-join ThreadPool:
-// N concurrent queries would oversubscribe the machine N-fold, and a pool
-// per query pays thread start/join on every request. Instead one TaskPool
+// A resident server cannot hand each query a private pool: N concurrent
+// queries would oversubscribe the machine N-fold, and a pool per query pays
+// thread start/join on every request. Instead one TaskPool
 // (parallel/task_pool.h) owns the enumeration workers for the whole
-// process, and each admitted query fans out a *quota* of shard tasks —
+// process, and each admitted query runs the counting driver
+// (match/count_driver.h) as a *quota* of shard tasks —
 // `max(1, workers / active_queries)` at admission time, so a lone query
 // still uses the whole machine while a loaded server degrades to one shard
-// per query. Shards claim enumeration roots from a shared atomic cursor,
-// exactly the work-stealing scheme of parallel/parallel_match.cc, and the
-// session thread joins on a TaskLatch.
+// per query. The session thread joins through ForkJoin.
 //
-// Admission control enforces the server's budgets before any work starts:
+// Admission control enforces the server's budgets before any work starts
+// (the time limit counts from arrival, so it covers the admission wait):
 //   - at most `max_concurrent_queries` queries execute at once; later
 //     arrivals block (backpressure to the socket, not a thread per query);
 //   - requested time limits are clamped to `max_time_limit_seconds`, and
@@ -94,7 +94,9 @@ class QueryScheduler {
   // must be the graph `prepared` was built from (the cache representative
   // on a hit). Blocks until the query completes; concurrent callers
   // interleave on the shared workers. `quota_used` (optional) reports the
-  // granted quota.
+  // granted quota. The result carries the same MatchStats as
+  // CflMatcher::Match; total_seconds is the plan's build + order time plus
+  // the wall time of this call, admission wait included.
   MatchResult Execute(const Graph& data, const Graph& query,
                       const PreparedQuery& prepared,
                       const MatchLimits& requested,

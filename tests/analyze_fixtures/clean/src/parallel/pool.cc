@@ -1,8 +1,10 @@
-// Fixture: a clean worker boundary — the body is invoked only inside
-// InvokeBody, the out-of-boundary functions are noexcept, and everything a
-// Run lambda calls is noexcept or CFL_POOL_SAFE. Mutation self-test seeds
-// 7 and 8 break these properties.
+// Fixture: a clean worker boundary — a task is invoked only inside
+// InvokeTask, the out-of-boundary functions are noexcept, and everything a
+// Submit or ForkJoin lambda calls is noexcept or CFL_POOL_SAFE. Mutation
+// self-test seeds 7 and 8 break these properties.
 #include "parallel/pool.h"
+
+#include <utility>
 
 #include "check/check.h"
 
@@ -16,22 +18,27 @@ uint64_t Allocating(uint64_t n) CFL_POOL_SAFE { return n * 2; }
 
 }  // namespace
 
-void ThreadPool::InvokeBody(const std::function<void(uint32_t)>& body,
-                            uint32_t worker_id) noexcept {
-  body(worker_id);
+void TaskPool::InvokeTask(const std::function<void()>& task) noexcept {
+  task();
 }
 
-void ThreadPool::WorkerLoop(uint32_t worker_id) noexcept {
-  InvokeBody(*body_, worker_id);
+void TaskPool::WorkerLoop() noexcept {
+  std::function<void()> task = std::move(next_);
+  InvokeTask(task);
 }
 
-void ThreadPool::Run(const std::function<void(uint32_t)>& body) {
-  body_ = &body;
-  WorkerLoop(0);
+void TaskPool::Submit(std::function<void()> task) {
+  next_ = std::move(task);
+  WorkerLoop();
 }
 
-void Drive(ThreadPool& pool) {
-  pool.Run([&](uint32_t w) {
+void ForkJoin(TaskPool& pool, uint32_t n,
+              const std::function<void(uint32_t)>& body) {
+  for (uint32_t i = 0; i < n; ++i) pool.Submit([&body, i] { body(i); });
+}
+
+void Drive(TaskPool& pool) {
+  ForkJoin(pool, 2, [&](uint32_t w) {
     uint64_t total = Accumulate(w, 1);
     total = Allocating(total);
   });

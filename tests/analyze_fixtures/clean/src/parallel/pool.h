@@ -1,4 +1,4 @@
-// Fixture: the worker-pool surface mirrored from src/parallel/thread_pool.h.
+// Fixture: the worker-pool surface mirrored from src/parallel/task_pool.h.
 #ifndef FIX_PARALLEL_POOL_H_
 #define FIX_PARALLEL_POOL_H_
 
@@ -9,23 +9,25 @@
 
 namespace fix {
 
-class ThreadPool {
+class TaskPool {
  public:
-  explicit ThreadPool(uint32_t threads);
+  explicit TaskPool(uint32_t threads);
 
   uint32_t size() const { return size_; }
 
-  void Run(const std::function<void(uint32_t)>& body);
+  void Submit(std::function<void()> task);
 
  private:
-  void WorkerLoop(uint32_t worker_id) noexcept;
+  void WorkerLoop() noexcept;
 
-  static void InvokeBody(const std::function<void(uint32_t)>& body,
-                         uint32_t worker_id) noexcept;
+  static void InvokeTask(const std::function<void()>& task) noexcept;
 
-  const std::function<void(uint32_t)>* body_ = nullptr;
+  std::function<void()> next_;
   uint32_t size_ = 1;
 };
+
+void ForkJoin(TaskPool& pool, uint32_t n,
+              const std::function<void(uint32_t)>& body);
 
 }  // namespace fix
 

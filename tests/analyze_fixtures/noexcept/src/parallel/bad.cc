@@ -1,35 +1,31 @@
-// Fixture VIOLATIONS: both worker-noexcept shapes — the pool invoking the
-// run body directly (outside InvokeBody), and a Run lambda calling a
+// Fixture VIOLATIONS: both worker-noexcept shapes — the pool invoking a
+// task directly (outside InvokeTask), and a Submit lambda calling a
 // src/parallel function that is neither noexcept nor CFL_POOL_SAFE.
 #include <cstdint>
 #include <functional>
 
 namespace fix {
 
-class ThreadPool {
+class TaskPool {
  public:
-  void Run(const std::function<void(uint32_t)>& body);
+  void Submit(std::function<void()> task);
 
  private:
-  static void InvokeBody(const std::function<void(uint32_t)>& body,
-                         uint32_t worker_id) noexcept;
-
-  const std::function<void(uint32_t)>* body_ = nullptr;
+  static void InvokeTask(const std::function<void()>& task) noexcept;
 };
 
-void ThreadPool::InvokeBody(const std::function<void(uint32_t)>& body,
-                            uint32_t worker_id) noexcept {
-  body(worker_id);
+void TaskPool::InvokeTask(const std::function<void()>& task) noexcept {
+  task();
 }
 
-void ThreadPool::Run(const std::function<void(uint32_t)>& body) {
-  body(0);
+void TaskPool::Submit(std::function<void()> task) {
+  task();
 }
 
 uint64_t Helper(uint64_t v) { return v + 1; }
 
-void Drive(ThreadPool& pool) {
-  pool.Run([&](uint32_t w) { Helper(w); });
+void Drive(TaskPool& pool) {
+  pool.Submit([&] { Helper(1); });
 }
 
 }  // namespace fix

@@ -237,8 +237,8 @@ const Mutation kMutations[] = {
     {"src/parallel/pool.cc",
      "uint64_t Accumulate(uint64_t a, uint64_t b) noexcept {",
      "uint64_t Accumulate(uint64_t a, uint64_t b) {", "[worker-noexcept]"},
-    {"src/parallel/pool.cc", "InvokeBody(*body_, worker_id);",
-     "(*body_)(worker_id);", "[worker-noexcept]"},
+    {"src/parallel/pool.cc", "InvokeTask(task);", "task();",
+     "[worker-noexcept]"},
     // stats-gate
     {"src/match/match.cc", "CFL_STATS_ONLY(stats_.probes += 1;)",
      "stats_.probes += 1;", "[stats-gate]"},

@@ -205,24 +205,6 @@ TEST_P(LeafCountingTest, CountMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Sweep, LeafCountingTest,
                          ::testing::Range<uint64_t>(0, 25));
 
-TEST(CflMatchTest, EstimateEmbeddings) {
-  Graph g = Figure3Data();
-  CflMatcher matcher(g);
-  // Tree query with pairwise-distinct labels: injectivity is automatic, so
-  // the tree-cardinality estimate is exact.
-  Graph path = MakeGraph({2, 3, 4}, {{0, 1}, {1, 2}});
-  EXPECT_DOUBLE_EQ(matcher.EstimateEmbeddings(path),
-                   static_cast<double>(BruteForceCount(path, g)));
-  // Impossible label: estimate 0.
-  Graph impossible = MakeGraph({9, 9}, {{0, 1}});
-  EXPECT_DOUBLE_EQ(matcher.EstimateEmbeddings(impossible), 0.0);
-  // General queries: the estimate upper-bounds the true count (non-tree
-  // edges and injectivity only remove embeddings).
-  Graph q = Figure3Query();
-  EXPECT_GE(matcher.EstimateEmbeddings(q),
-            static_cast<double>(BruteForceCount(q, g)));
-}
-
 // Enumeration mode must produce exactly the same embeddings as brute force.
 class EnumerationAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 

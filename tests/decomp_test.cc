@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "decomp/bfs_tree.h"
-#include "decomp/forest_is.h"
-#include "decomp/k_core.h"
 #include "decomp/nec.h"
 #include "decomp/two_core.h"
 #include "gen/synthetic.h"
@@ -196,76 +194,6 @@ TEST(NecTest, LeafTwins) {
   EXPECT_EQ(NecReducedVertices(star), 2u);
 }
 
-TEST(ForestIsTest, LeafSetIsTheMaximumIndependentSet) {
-  // Paper A.5: the cMVC-based independent set of the forest-structure is
-  // exactly the leaf-set V_I.
-  Graph q = Figure4Query();
-  CflDecomposition d = DecomposeCfl(q);
-  ForestIsResult fis = ComputeForestIs(q, d);
-  EXPECT_EQ(fis.independent, d.leaf);
-  EXPECT_EQ(fis.cover, d.forest);
-  EXPECT_TRUE(IsIndependentSet(q, fis.independent));
-}
-
-TEST(ForestIsTest, PropertyOnRandomQueries) {
-  for (uint64_t seed = 0; seed < 15; ++seed) {
-    SyntheticOptions options;
-    options.num_vertices = 60;
-    options.average_degree = 2.4;
-    options.num_labels = 3;
-    options.seed = seed;
-    Graph q = MakeSynthetic(options);
-    CflDecomposition d = DecomposeCfl(q, 0);
-    ForestIsResult fis = ComputeForestIs(q, d);
-    EXPECT_TRUE(IsIndependentSet(q, fis.independent)) << seed;
-    EXPECT_EQ(fis.independent, d.leaf) << seed;
-    // The cover really covers every forest edge: each non-core edge has an
-    // endpoint in cover or in the core.
-    std::vector<bool> covered(q.NumVertices(), false);
-    for (VertexId v : fis.cover) covered[v] = true;
-    for (VertexId v : d.core) covered[v] = true;
-    for (VertexId a = 0; a < q.NumVertices(); ++a) {
-      for (VertexId b : q.Neighbors(a)) {
-        if (b < a) continue;
-        EXPECT_TRUE(covered[a] || covered[b])
-            << "uncovered edge (" << a << "," << b << ") seed " << seed;
-      }
-    }
-  }
-}
-
-TEST(KCoreTest, CoreNumbersOnKnownGraph) {
-  // K4 with a pendant path: clique vertices have core 3, path 1.
-  Graph g = MakeGraph({0, 0, 0, 0, 0, 0},
-                      {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
-                       {3, 4}, {4, 5}});
-  std::vector<uint32_t> core = CoreNumbers(g);
-  EXPECT_EQ(core[0], 3u);
-  EXPECT_EQ(core[1], 3u);
-  EXPECT_EQ(core[2], 3u);
-  EXPECT_EQ(core[3], 3u);
-  EXPECT_EQ(core[4], 1u);
-  EXPECT_EQ(core[5], 1u);
-}
-
-TEST(KCoreTest, TwoCoreConsistency) {
-  // The k-core hierarchy at k=2 must agree with the dedicated 2-core.
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    SyntheticOptions options;
-    options.num_vertices = 50;
-    options.average_degree = 3.0;
-    options.num_labels = 2;
-    options.seed = seed;
-    Graph g = MakeSynthetic(options);
-    CoreHierarchy h = ComputeCoreHierarchy(g);
-    EXPECT_EQ(h.KCore(2), TwoCoreVertices(g)) << seed;
-    // Shells partition V.
-    size_t total = 0;
-    for (const std::vector<VertexId>& shell : h.shells) total += shell.size();
-    EXPECT_EQ(total, g.NumVertices());
-  }
-}
-
 TEST(Lemma42Test, ForestSetHasNoNecTwins) {
   // Paper Lemma 4.2: no two forest-set vertices have the same label and the
   // same neighborhoods (they would close a cycle and belong to the core).
@@ -289,23 +217,6 @@ TEST(Lemma42Test, ForestSetHasNoNecTwins) {
                             << " at seed " << seed;
       }
     }
-  }
-}
-
-TEST(KCoreTest, MonotoneUnderPeeling) {
-  // Core numbers are monotone: k-core of the k-core is itself.
-  SyntheticOptions options;
-  options.num_vertices = 80;
-  options.average_degree = 5.0;
-  options.seed = 3;
-  Graph g = MakeSynthetic(options);
-  CoreHierarchy h = ComputeCoreHierarchy(g);
-  ASSERT_GE(h.degeneracy, 2u);
-  std::vector<VertexId> inner = h.KCore(h.degeneracy);
-  ASSERT_FALSE(inner.empty());
-  Graph sub = InducedSubgraph(g, inner);
-  for (VertexId v = 0; v < sub.NumVertices(); ++v) {
-    EXPECT_GE(sub.StructuralDegree(v), h.degeneracy);
   }
 }
 

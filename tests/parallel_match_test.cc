@@ -1,4 +1,4 @@
-// Parallel enumeration layer: thread-pool semantics and serial-vs-parallel
+// Parallel enumeration layer: task-pool semantics and serial-vs-parallel
 // equivalence of the root-partitioned matcher across thread counts, with
 // and without embedding caps, deadlines, and compressed data graphs.
 
@@ -8,7 +8,6 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +16,7 @@
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "match/cfl_match.h"
-#include "parallel/thread_pool.h"
+#include "parallel/task_pool.h"
 #include "test_util.h"
 
 namespace cfl {
@@ -25,65 +24,63 @@ namespace {
 
 const uint32_t kThreadCounts[] = {1, 2, 4, 8};
 
-// ---- ThreadPool ---------------------------------------------------------
+// ---- TaskPool + ForkJoin -----------------------------------------------
 
-TEST(ThreadPoolTest, RunsEveryWorkerExactlyOnce) {
-  for (uint32_t n : kThreadCounts) {
-    ThreadPool pool(n);
-    ASSERT_EQ(pool.size(), n);
+TEST(TaskPoolTest, RunsEverySubmittedTask) {
+  TaskPool pool(4);
+  constexpr uint32_t kTasks = 100;
+  std::atomic<uint32_t> ran{0};
+  TaskLatch latch(kTasks);
+  for (uint32_t i = 0; i < kTasks; ++i) {
+    pool.Submit([&] {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      latch.CountDown();
+    });
+  }
+  latch.Wait();
+  EXPECT_EQ(ran.load(), kTasks);
+}
+
+TEST(TaskPoolTest, DrainsQueueOnDestruction) {
+  std::atomic<uint32_t> ran{0};
+  {
+    TaskPool pool(1);  // single worker: tasks queue up
+    for (uint32_t i = 0; i < 50; ++i) {
+      pool.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // destructor must run all 50, not drop the queue
+  EXPECT_EQ(ran.load(), 50u);
+}
+
+TEST(TaskPoolTest, ForkJoinIsABarrierAndReusable) {
+  TaskPool pool(4);
+  for (uint32_t n : {1u, 3u, 4u, 9u}) {
     std::vector<std::atomic<uint32_t>> hits(n);
     for (auto& h : hits) h = 0;
-    pool.Run([&](uint32_t worker) {
-      ASSERT_LT(worker, n);
-      ++hits[worker];
+    std::atomic<uint64_t> sum{0};
+    ForkJoin(pool, n, [&](uint32_t i) {
+      ASSERT_LT(i, n);
+      ++hits[i];
+      sum.fetch_add(1);
     });
-    for (uint32_t w = 0; w < n; ++w) EXPECT_EQ(hits[w], 1u) << "worker " << w;
+    // Every index ran exactly once, and all of it is visible on return.
+    EXPECT_EQ(sum.load(), n);
+    for (uint32_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1u) << "i=" << i;
   }
 }
 
-TEST(ThreadPoolTest, RunIsABarrierAndReusable) {
-  ThreadPool pool(4);
-  std::atomic<uint64_t> sum{0};
-  for (int round = 1; round <= 3; ++round) {
-    pool.Run([&](uint32_t) { sum.fetch_add(1); });
-    // All four increments of the round must be visible after Run returns.
-    EXPECT_EQ(sum.load(), static_cast<uint64_t>(4 * round));
-  }
-}
-
-TEST(ThreadPoolTest, ZeroClampsToOneAndRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.Run([&](uint32_t worker) {
-    EXPECT_EQ(worker, 0u);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, caller);  // size-1 pools run on the calling thread
-}
-
-// A body that throws must fail fast with a diagnostic, never unwind into
-// the worker loop or deadlock the Run() barrier. Exercise both execution
-// paths: the inline size-1 pool and a detached multi-worker pool.
-TEST(ThreadPoolDeathTest, ThrowingBodyFailsFastInline) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ThreadPool pool(1);
-  EXPECT_DEATH(
-      pool.Run([](uint32_t) { throw std::runtime_error("inline boom"); }),
-      "ThreadPool body threw.*inline boom");
-}
-
-TEST(ThreadPoolDeathTest, ThrowingBodyFailsFastOnWorker) {
+// A throwing task must fail fast with its message, never unwind into the
+// worker loop or strand a ForkJoin caller on its latch.
+TEST(TaskPoolDeathTest, ThrowingTaskFailsFastWithMessage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        ThreadPool pool(4);
-        pool.Run([](uint32_t worker) {
-          if (worker == 2) throw std::runtime_error("worker boom");
+        TaskPool pool(4);
+        ForkJoin(pool, 4, [](uint32_t i) {
+          if (i == 2) throw std::runtime_error("shard boom");
         });
       },
-      "ThreadPool body threw.*worker boom");
+      "TaskPool task threw.*shard boom");
 }
 
 // ---- Serial vs parallel equivalence -------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <atomic>
 #include <map>
@@ -28,7 +29,6 @@
 #include "graph/graph_builder.h"
 #include "match/cfl_match.h"
 #include "match/iterator.h"
-#include "parallel/task_pool.h"
 #include "serve/canonical.h"
 #include "serve/client.h"
 #include "serve/plan_cache.h"
@@ -267,34 +267,6 @@ TEST(PlanCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(cache.Stats().entries, 0u);
 }
 
-// ---- task pool ----------------------------------------------------------
-
-TEST(TaskPoolTest, RunsEverySubmittedTask) {
-  TaskPool pool(4);
-  constexpr uint32_t kTasks = 100;
-  std::atomic<uint32_t> ran{0};
-  TaskLatch latch(kTasks);
-  for (uint32_t i = 0; i < kTasks; ++i) {
-    pool.Submit([&] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  EXPECT_EQ(ran.load(), kTasks);
-}
-
-TEST(TaskPoolTest, DrainsQueueOnDestruction) {
-  std::atomic<uint32_t> ran{0};
-  {
-    TaskPool pool(1);  // single worker: tasks queue up
-    for (uint32_t i = 0; i < 50; ++i) {
-      pool.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor must run all 50, not drop the queue
-  EXPECT_EQ(ran.load(), 50u);
-}
-
 // ---- scheduler ----------------------------------------------------------
 
 TEST(SchedulerTest, ClampsLimitsToServerBudgets) {
@@ -371,6 +343,73 @@ TEST(SchedulerTest, ConcurrentQueriesInterleaveCorrectly) {
   }
   for (std::thread& t : sessions) t.join();
   EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(scheduler.ActiveQueries(), 0u);
+}
+
+// The server path reports the same MatchStats as the serial matcher: the
+// Prepare-side half from the plan, the enumeration half from the driver.
+TEST(SchedulerTest, StatsMatchSerialEngine) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  Graph data = TestData();
+  CflMatcher matcher(data);
+  serve::SchedulerOptions options;
+  options.workers = 3;
+  serve::QueryScheduler scheduler(options);
+
+  uint64_t total_embeddings = 0;
+  for (const Graph& q : TestQueries(data, 8, 8, 83)) {
+    MatchResult serial = matcher.Match(q);
+    PreparedQuery prepared = matcher.Prepare(q);
+    MatchResult served = scheduler.Execute(data, q, prepared, MatchLimits{});
+    const MatchStats& a = serial.stats;
+    const MatchStats& b = served.stats;
+    ASSERT_TRUE(b.recorded);
+    EXPECT_EQ(obs::CheckStatsInvariants(b, served.embeddings,
+                                        served.total_seconds),
+              "");
+    EXPECT_EQ(b.embeddings_found, a.embeddings_found);
+    EXPECT_EQ(b.candidates_tried, a.candidates_tried);
+    EXPECT_EQ(b.candidates_bound, a.candidates_bound);
+    EXPECT_EQ(b.cpi_candidate_entries, a.cpi_candidate_entries);
+    EXPECT_EQ(b.cpi_adjacency_entries, a.cpi_adjacency_entries);
+    EXPECT_EQ(b.cpi_candidates_per_vertex, a.cpi_candidates_per_vertex);
+    total_embeddings += served.embeddings;
+  }
+  EXPECT_GT(total_embeddings, 0u) << "fixture finds nothing to count";
+}
+
+// The time limit counts from arrival: a query that waits for admission
+// longer than its limit times out, even though its own enumeration would
+// finish long before the limit.
+TEST(SchedulerTest, DeadlineCoversAdmissionWait) {
+  Graph data = TestData();
+  CflMatcher matcher(data);
+  Graph q = TestQueries(data, 1, 8, 81)[0];
+  PreparedQuery prepared = matcher.Prepare(q);
+  ASSERT_FALSE(prepared.no_results);
+
+  serve::SchedulerOptions options;
+  options.workers = 2;
+  options.max_concurrent_queries = 1;
+  serve::QueryScheduler scheduler(options);
+
+  std::atomic<bool> holding{false};
+  std::thread holder([&] {
+    serve::AdmissionTicket ticket(scheduler);  // the only slot
+    holding.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  MatchResult result;
+  std::thread waiter([&] {
+    MatchLimits limits;
+    limits.time_limit_seconds = 0.05;
+    result = scheduler.Execute(data, q, prepared, limits);
+  });
+  waiter.join();
+  holder.join();
+  EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(scheduler.ActiveQueries(), 0u);
 }
 

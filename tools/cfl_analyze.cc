@@ -29,13 +29,14 @@
 //                    or a 32-bit variable initialized from .size(). Use
 //                    cfl::CheckedU32 (check/narrow.h) or
 //                    CheckedCandidateCount (match/enumerator.h).
-//   worker-noexcept  the ThreadPool worker boundary: the run body may be
-//                    invoked only through InvokeBody (which converts an
-//                    escaped exception into a contextful CFL_CHECK failure);
-//                    InvokeBody and WorkerLoop themselves must be noexcept
+//   worker-noexcept  the TaskPool worker boundary: a task may be invoked
+//                    only through InvokeTask (which converts an escaped
+//                    exception into a contextful CFL_CHECK failure);
+//                    InvokeTask and WorkerLoop themselves must be noexcept
 //                    (they run outside that net); and every src/parallel/-
-//                    defined function called from a ThreadPool::Run lambda
-//                    must be noexcept or carry CFL_POOL_SAFE.
+//                    defined function called from a lambda handed to
+//                    TaskPool::Submit or ForkJoin must be noexcept or carry
+//                    CFL_POOL_SAFE.
 //   stats-gate       mutations of EnumStats / CpiBuildStats counters
 //                    outside a CFL_STATS_ONLY(...) wrapper: such a site
 //                    would survive -DCFL_STATS=OFF and break the
@@ -54,7 +55,7 @@
 //                    construction.
 //   blocking-under-lock
 //                    CondVar::Wait-family calls, TaskLatch waits,
-//                    TaskPool::Submit / ThreadPool::Run, thread joins, and
+//                    TaskPool::Submit, thread joins, and
 //                    syscall-shaped calls (read/write/poll/accept/...)
 //                    made while a MutexLock is live in the same function.
 //                    Legitimate sites (condvar wait loops release the
@@ -144,7 +145,7 @@ struct ProgramIndex {
   std::map<std::string, bool> classes;
   // function name (last component) -> every decl/def seen
   std::map<std::string, std::vector<FuncDecl>> functions;
-  // names of variables/members declared with type ThreadPool
+  // names of variables/members declared with type TaskPool
   std::set<std::string> pool_vars;
   // counter fields of the stats structs (from src/obs/stats.h)
   std::set<std::string> stats_fields;
@@ -355,11 +356,11 @@ void IndexFunctions(const AnalyzedFile& af, ProgramIndex& index) {
   }
 }
 
-// Collects names of variables/parameters/members declared as ThreadPool.
+// Collects names of variables/parameters/members declared as TaskPool.
 void IndexPoolVars(const AnalyzedFile& af, ProgramIndex& index) {
   const std::vector<Token>& toks = af.toks;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].text != "ThreadPool") continue;
+    if (toks[i].text != "TaskPool") continue;
     if (i > 0 && (toks[i - 1].text == "class" || toks[i - 1].text == "struct"))
       continue;
     size_t j = i + 1;
@@ -770,40 +771,30 @@ void CheckWorkerNoexcept(const AnalyzedFile& af, const ProgramIndex& index,
   if (af.module.empty()) return;  // src/ only
   const std::vector<Token>& toks = af.toks;
 
-  // (a) ThreadPool internals: the body functor is invoked only through
-  // InvokeBody, and the out-of-boundary functions are noexcept.
+  // (a) TaskPool internals: a task is invoked only through InvokeTask, and
+  // the out-of-boundary functions are noexcept.
   bool is_pool_impl = false;
   for (size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].text == "ThreadPool" && toks[i + 1].text == "::" &&
-        (toks[i + 2].text == "WorkerLoop" || toks[i + 2].text == "Run" ||
-         toks[i + 2].text == "InvokeBody")) {
+    if (toks[i].text == "TaskPool" && toks[i + 1].text == "::" &&
+        (toks[i + 2].text == "WorkerLoop" || toks[i + 2].text == "Submit" ||
+         toks[i + 2].text == "InvokeTask")) {
       is_pool_impl = true;
       break;
     }
   }
   if (is_pool_impl) {
-    auto invoke_body = FindFunctionBody(toks, "InvokeBody");
-    auto called_as_body = [&](size_t i) {
-      const std::string& t = toks[i].text;
-      if (t != "body" && t != "body_") return false;
-      if (i + 1 < toks.size() && toks[i + 1].text == "(") return true;
-      // (*body_)(...) / (*body)(...)
-      if (i > 0 && toks[i - 1].text == "*" && i + 2 < toks.size() &&
-          toks[i + 1].text == ")" && toks[i + 2].text == "(")
-        return true;
-      return false;
-    };
-    for (size_t i = 0; i < toks.size(); ++i) {
-      if (!called_as_body(i)) continue;
-      if (i >= invoke_body.first && i < invoke_body.second) continue;
+    auto invoke_task = FindFunctionBody(toks, "InvokeTask");
+    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].text != "task" || toks[i + 1].text != "(") continue;
+      if (i >= invoke_task.first && i < invoke_task.second) continue;
       if (Allowed(af.src, kWorkerNoexcept, toks[i].line)) continue;
       diags.push_back(
           {af.src.path, toks[i].line, toks[i].col, kWorkerNoexcept,
-           "ThreadPool invokes the run body directly — route it through "
-           "InvokeBody so an escaped exception fails fast with context "
-           "instead of std::terminate / stranding the join barrier"});
+           "TaskPool invokes a task directly — route it through InvokeTask "
+           "so an escaped exception fails fast with context instead of "
+           "std::terminate / stranding a ForkJoin latch"});
     }
-    for (const char* fn : {"InvokeBody", "WorkerLoop"}) {
+    for (const char* fn : {"InvokeTask", "WorkerLoop"}) {
       FuncSummary s = Summarize(index, fn);
       if (!s.known || s.is_noexcept) continue;
       // Report at this file's mention of the function (once).
@@ -812,35 +803,49 @@ void CheckWorkerNoexcept(const AnalyzedFile& af, const ProgramIndex& index,
         if (Allowed(af.src, kWorkerNoexcept, toks[i].line)) break;
         diags.push_back(
             {af.src.path, toks[i].line, toks[i].col, kWorkerNoexcept,
-             std::string("ThreadPool::") + fn +
+             std::string("TaskPool::") + fn +
                  " must be noexcept — it runs on the worker outside the "
-                 "InvokeBody boundary, where an exception is an immediate "
+                 "InvokeTask boundary, where an exception is an immediate "
                  "std::terminate with no context"});
         break;
       }
     }
   }
 
-  // (b) Run-lambda audit: functions called from a ThreadPool::Run body that
-  // are defined in src/parallel/ must be noexcept or CFL_POOL_SAFE.
+  // (b) Task-lambda audit: functions called from a lambda handed to
+  // `<pool>.Submit(...)` or `ForkJoin(...)` that are defined in
+  // src/parallel/ must be noexcept or CFL_POOL_SAFE.
   for (size_t i = 0; i + 3 < toks.size(); ++i) {
-    if (!IsIdent(toks[i]) || index.pool_vars.count(toks[i].text) == 0)
-      continue;
-    size_t j = i + 1;
-    if (toks[j].text == "." || (toks[j].text == "-" &&
-                                j + 1 < toks.size() &&
-                                toks[j + 1].text == ">")) {
-      j += toks[j].text == "." ? 1 : 2;
+    size_t open = 0;  // the call's '('
+    if (toks[i].text == "ForkJoin" && toks[i + 1].text == "(") {
+      open = i + 1;
+    } else if (IsIdent(toks[i]) && index.pool_vars.count(toks[i].text) != 0) {
+      size_t j = i + 1;
+      if (toks[j].text == "." || (toks[j].text == "-" &&
+                                  j + 1 < toks.size() &&
+                                  toks[j + 1].text == ">")) {
+        j += toks[j].text == "." ? 1 : 2;
+      } else {
+        continue;
+      }
+      if (j + 1 >= toks.size() || toks[j].text != "Submit" ||
+          toks[j + 1].text != "(")
+        continue;
+      open = j + 1;
     } else {
       continue;
     }
-    if (j + 1 >= toks.size() || toks[j].text != "Run" ||
-        toks[j + 1].text != "(")
-      continue;
-    size_t call_end = SkipGroup(toks, j + 1, "(", ")");
-    // Lambda body inside the call: first top-level '{' after the capture.
-    size_t k = j + 2;
-    if (k >= call_end || toks[k].text != "[") continue;
+    size_t call_end = SkipGroup(toks, open, "(", ")");
+    // The lambda argument: the first '[' at the call's top level, then the
+    // first '{' after its capture and parameter list.
+    size_t k = open + 1;
+    while (k < call_end && toks[k].text != "[") {
+      if (toks[k].text == "(")
+        k = SkipGroup(toks, k, "(", ")");
+      else
+        ++k;
+    }
+    if (k >= call_end) continue;
     k = SkipGroup(toks, k, "[", "]");
     while (k < call_end && toks[k].text != "{") {
       if (toks[k].text == "(")
@@ -868,9 +873,9 @@ void CheckWorkerNoexcept(const AnalyzedFile& af, const ProgramIndex& index,
       diags.push_back(
           {af.src.path, toks[c].line, toks[c].col, kWorkerNoexcept,
            "'" + callee + "' (defined in " + s.def_file +
-               ") is called from a ThreadPool::Run body but is neither "
-               "noexcept nor CFL_POOL_SAFE — the parallel layer's own "
-               "helpers must not throw across the worker boundary"});
+               ") is called from a pool task but is neither noexcept nor "
+               "CFL_POOL_SAFE — the parallel layer's own helpers must not "
+               "throw across the worker boundary"});
     }
   }
 }
@@ -964,7 +969,7 @@ void CheckStatsGate(const AnalyzedFile& af, const ProgramIndex& index,
 // Shared token-level model for the lock-order and blocking-under-lock
 // rules: every cfl::Mutex member with its declared CFL_LOCK_LEVEL, a
 // program-wide variable-name -> type map for the lockable / waitable types
-// (built the same way IndexPoolVars types ThreadPool variables), and every
+// (built the same way IndexPoolVars types TaskPool variables), and every
 // function *definition* with its body token range so acquisitions can be
 // attributed to a (class, function) and propagated along the call graph.
 
@@ -1104,8 +1109,7 @@ void CollectMutexMembers(const std::vector<AnalyzedFile>& files,
 // parameters (CondVar::Wait) are the wrapper's own plumbing.
 void CollectVarTypes(const std::vector<AnalyzedFile>& files,
                      ConcurrencyModel& model) {
-  std::set<std::string> known = {"CondVar", "TaskPool", "ThreadPool",
-                                 "TaskLatch"};
+  std::set<std::string> known = {"CondVar", "TaskPool", "TaskLatch"};
   for (const auto& [key, info] : model.mutexes) known.insert(info.cls);
   for (const AnalyzedFile& af : files) {
     if (af.module.empty() || IsThreadAnnotationsHeader(af)) continue;
@@ -1263,7 +1267,6 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
       "read",    "write",   "pread",   "pwrite",  "poll",
       "accept",  "recv",    "send",    "select",  "connect",
       "recvmsg", "sendmsg", "usleep",  "sleep",   "nanosleep"};
-  static const std::set<std::string> kPoolBlocking = {"Submit", "Run"};
 
   struct CallUnderLock {
     std::vector<std::string> held;  // known mutex keys live at the call
@@ -1387,13 +1390,10 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
         } else if (name == "join") {
           blocking = true;
           why = "join blocks until the thread exits";
-        } else if (typed && !condvar && kPoolBlocking.count(name) != 0 &&
-                   (vt->second.count("TaskPool") != 0 ||
-                    vt->second.count("ThreadPool") != 0)) {
+        } else if (typed && name == "Submit" &&
+                   vt->second.count("TaskPool") != 0) {
           blocking = true;
-          why = name == "Run"
-                    ? "ThreadPool::Run blocks at the join barrier"
-                    : "TaskPool::Submit takes the pool mutex to queue work";
+          why = "TaskPool::Submit takes the pool mutex to queue work";
         }
         // CondVar::Wait releases and re-acquires the mutex it is handed —
         // it is a blocking site, never an ordering edge.
