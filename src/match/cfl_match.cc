@@ -6,8 +6,6 @@
 #include "decomp/cfl_decomposition.h"
 #include "decomp/two_core.h"
 #include "match/count_driver.h"
-#include "match/enumerator.h"
-#include "match/leaf_match.h"
 #include "obs/clock.h"
 
 namespace cfl {
@@ -92,70 +90,11 @@ PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
 MatchResult CflMatcher::Match(const Graph& q, const MatchOptions& options) {
   WallTimer total_timer;
   PreparedQuery prepared = Prepare(q, options);
-  if (!options.on_embedding) {
-    MatchResult result =
-        CountMatches(data_, q, prepared, options.limits, 1, nullptr);
-    result.total_seconds = total_timer.Lap();
-    return result;
-  }
-
-  MatchResult result;
-  const Cpi& cpi = prepared.cpi;
-  const MatchingOrder& order = prepared.order;
-  result.build_seconds = prepared.build_seconds;
-  result.order_seconds = prepared.order_seconds;
-  result.index_entries = cpi.SizeInEntries();
-  CFL_STATS_ONLY(result.stats = prepared.stats;)
-  if (prepared.no_results) {
-    result.total_seconds = total_timer.Lap();
-    return result;
-  }
-
-  // Enumeration mode: expand leaf assignments and invoke the callback.
-  WallTimer phase_timer;
-  Deadline deadline(options.limits.time_limit_seconds);
-  EnumeratorState state(q.NumVertices(), data_.NumVertices());
-  LeafMatcher leaf_matcher(q, cpi, order.leaves);
-  const uint64_t cap = options.limits.max_embeddings;
-  const bool validate_embeddings = check::DebugValidationEnabled();
-  const EnumerateStatus status = EnumeratePartial(
-      data_, cpi, order.steps, state, deadline, [&]() {
-        CFL_STATS_ONLY(if (leaf_matcher.HasLeaves()) ++state.stats.leaf_calls;)
-        EnumerateStatus leaf_status = leaf_matcher.EnumerateEmbeddings(
-            data_, state, deadline, [&]() {
-              ++result.embeddings;
-              if (validate_embeddings) {
-                ValidationResult r = ValidateEmbedding(q, data_, state.mapping);
-                CFL_CHECK(r.ok) << " — emitted embedding invalid: " << r.error;
-              }
-              bool keep = options.on_embedding(state.mapping);
-              return keep && result.embeddings < cap;
-            });
-        if (leaf_status == EnumerateStatus::kTimedOut) {
-          result.timed_out = true;
-        }
-        return leaf_status == EnumerateStatus::kDone;
-      });
-
-  if (status == EnumerateStatus::kTimedOut) result.timed_out = true;
-  // Same tie-break as the counting driver (match/count_driver.h).
-  result.reached_limit = result.embeddings >= cap;
-  result.candidates_tried = state.candidates_tried;
-  result.candidates_bound = state.candidates_bound;
-  result.enumerate_seconds = phase_timer.Lap();
-  CFL_STATS_ONLY({
-    MatchStats& s = result.stats;
-    s.enumerate_seconds = result.enumerate_seconds;
-    s.enumeration.Merge(state.stats);
-    s.candidates_tried = result.candidates_tried;
-    s.candidates_bound = result.candidates_bound;
-    s.embeddings_found = result.embeddings;
-    s.root_candidates = cpi.NumCandidates(order.steps.front().u);
-    // One sequential pass claims every root; a stop or timeout leaves the
-    // count unknown, and claiming fewer than root_candidates is sound.
-    s.worker_roots_claimed.assign(
-        1, status == EnumerateStatus::kDone ? s.root_candidates : 0);
-  })
+  MatchResult result =
+      options.on_embedding
+          ? EnumerateMatches(data_, q, prepared, options.limits,
+                             options.on_embedding)
+          : CountMatches(data_, q, prepared, options.limits, 1, nullptr);
   result.total_seconds = total_timer.Lap();
   return result;
 }

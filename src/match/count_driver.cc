@@ -6,7 +6,10 @@
 #include <utility>
 #include <vector>
 
+#include "check/check.h"
+#include "check/narrow.h"
 #include "check/thread_annotations.h"
+#include "check/validate.h"
 #include "match/enumerator.h"
 #include "match/leaf_match.h"
 
@@ -30,6 +33,59 @@ uint64_t AtomicSaturatingAdd(std::atomic<uint64_t>& total,
   return next;
 }
 
+// The Prepare-side half of a result, shared by both drivers: plan timings,
+// index size and stats copied from `prepared`. Returns false, with
+// total_seconds final, when the plan has nothing to enumerate.
+bool StartResult(const PreparedQuery& prepared, MatchResult& result) {
+  result.build_seconds = prepared.build_seconds;
+  result.order_seconds = prepared.order_seconds;
+  result.index_entries = prepared.cpi.SizeInEntries();
+  CFL_STATS_ONLY(result.stats = prepared.stats;)
+  if (prepared.no_results || prepared.order.steps.empty()) {
+    result.total_seconds = result.OrderingSeconds();
+    return false;
+  }
+  return true;
+}
+
+uint32_t RootCount(const PreparedQuery& prepared) {
+  return CheckedCandidateCount(
+      prepared.cpi.Candidates(prepared.order.steps[0].u).size());
+}
+
+// The enumeration half of a result, once every shard has joined: per-shard
+// counters summed and stats shards merged in shard order, and the tie-break
+// every engine shares — reached_limit iff the cap was hit, independent of a
+// simultaneous deadline expiry (both flags may be set).
+void FinishResult(uint64_t embeddings, bool timed_out, uint64_t cap,
+                  [[maybe_unused]] uint32_t root_count,
+                  std::span<const uint64_t> tried,
+                  std::span<const uint64_t> bound,
+                  [[maybe_unused]] std::span<const EnumStats> shard_stats,
+                  [[maybe_unused]] std::vector<uint64_t> roots_claimed,
+                  double enumerate_seconds, MatchResult& result) {
+  result.embeddings = embeddings;
+  result.timed_out = timed_out;
+  result.reached_limit = embeddings >= cap;
+  for (size_t shard = 0; shard < tried.size(); ++shard) {
+    result.candidates_tried += tried[shard];
+    result.candidates_bound += bound[shard];
+  }
+  result.enumerate_seconds = enumerate_seconds;
+  result.total_seconds = result.OrderingSeconds() + enumerate_seconds;
+  CFL_STATS_ONLY({
+    MatchStats& s = result.stats;
+    s.enumerate_seconds = enumerate_seconds;
+    for (const EnumStats& shard : shard_stats) s.enumeration.Merge(shard);
+    s.candidates_tried = result.candidates_tried;
+    s.candidates_bound = result.candidates_bound;
+    s.embeddings_found = embeddings;
+    s.threads = CheckedU32(tried.size());
+    s.root_candidates = root_count;
+    s.worker_roots_claimed = std::move(roots_claimed);
+  })
+}
+
 }  // namespace
 
 MatchResult CountMatches(const Graph& data, const Graph& query,
@@ -37,20 +93,12 @@ MatchResult CountMatches(const Graph& data, const Graph& query,
                          const MatchLimits& limits, uint32_t shards,
                          const ForkJoinFn& fork_join, obs::TimePoint start) {
   MatchResult result;
+  if (!StartResult(prepared, result)) return result;
   const Cpi& cpi = prepared.cpi;
   const std::span<const MatchStep> steps(prepared.order.steps);
-  result.build_seconds = prepared.build_seconds;
-  result.order_seconds = prepared.order_seconds;
-  result.index_entries = cpi.SizeInEntries();
-  CFL_STATS_ONLY(result.stats = prepared.stats;)
-  if (prepared.no_results || steps.empty()) {
-    result.total_seconds = result.OrderingSeconds();
-    return result;
-  }
 
   WallTimer phase_timer;
-  const uint32_t root_count =
-      CheckedCandidateCount(cpi.Candidates(steps[0].u).size());
+  const uint32_t root_count = RootCount(prepared);
   shards = std::min(std::max(shards, 1u), std::max(root_count, 1u));
   // One shard takes the whole root range in one claim (and one
   // EnumeratePartial call); several claim one root at a time.
@@ -72,8 +120,8 @@ MatchResult CountMatches(const Graph& data, const Graph& query,
   // after the join.
   std::vector<uint64_t> tried(shards, 0);
   std::vector<uint64_t> bound(shards, 0);
-  CFL_STATS_ONLY(std::vector<EnumStats> shard_stats(shards);
-                 std::vector<uint64_t> roots_claimed(shards, 0);)
+  std::vector<EnumStats> shard_stats(shards);
+  std::vector<uint64_t> roots_claimed(shards, 0);
 
   const std::function<void(uint32_t)> body = [&](uint32_t shard) {
     EnumeratorState state(query.NumVertices(), data.NumVertices());
@@ -132,26 +180,60 @@ MatchResult CountMatches(const Graph& data, const Graph& query,
     for (uint32_t shard = 0; shard < shards; ++shard) body(shard);
   }
 
-  result.embeddings = total.load(std::memory_order_relaxed);
-  result.timed_out = timed_out.load(std::memory_order_relaxed);
-  result.reached_limit = result.embeddings >= cap;
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    result.candidates_tried += tried[shard];
-    result.candidates_bound += bound[shard];
+  FinishResult(total.load(std::memory_order_relaxed),
+               timed_out.load(std::memory_order_relaxed), cap, root_count,
+               tried, bound, shard_stats, std::move(roots_claimed),
+               phase_timer.Lap(), result);
+  return result;
+}
+
+MatchResult EnumerateMatches(const Graph& data, const Graph& query,
+                             const PreparedQuery& prepared,
+                             const MatchLimits& limits,
+                             const EmbeddingCallback& on_embedding,
+                             obs::TimePoint start) {
+  MatchResult result;
+  if (!StartResult(prepared, result)) return result;
+  const Cpi& cpi = prepared.cpi;
+
+  WallTimer phase_timer;
+  const uint32_t root_count = RootCount(prepared);
+  const uint64_t cap = limits.max_embeddings;
+  const bool validate_embeddings = check::DebugValidationEnabled();
+  Deadline deadline(limits.time_limit_seconds, start);
+  EnumeratorState state(query.NumVertices(), data.NumVertices());
+  const LeafMatcher leaf_matcher(query, cpi, prepared.order.leaves);
+  uint64_t embeddings = 0;
+  bool timed_out = deadline.Expired();
+  // Like a lone counting shard, the run claims the whole root range at once
+  // unless the deadline expired before it started.
+  std::vector<uint64_t> roots_claimed(1, timed_out ? 0 : root_count);
+
+  if (!timed_out) {
+    auto emit = [&]() {
+      ++embeddings;
+      if (validate_embeddings) {
+        ValidationResult r = ValidateEmbedding(query, data, state.mapping);
+        CFL_CHECK(r.ok) << " — emitted embedding invalid: " << r.error;
+      }
+      return on_embedding(state.mapping) && embeddings < cap;
+    };
+    const EnumerateStatus status = EnumeratePartial(
+        data, cpi, prepared.order.steps, state, deadline, [&]() {
+          CFL_STATS_ONLY(
+              if (leaf_matcher.HasLeaves()) ++state.stats.leaf_calls;)
+          const EnumerateStatus leaf_status =
+              leaf_matcher.EnumerateEmbeddings(data, state, deadline, emit);
+          if (leaf_status == EnumerateStatus::kTimedOut) timed_out = true;
+          return leaf_status == EnumerateStatus::kDone;
+        });
+    if (status == EnumerateStatus::kTimedOut) timed_out = true;
   }
-  result.enumerate_seconds = phase_timer.Lap();
-  result.total_seconds = result.OrderingSeconds() + result.enumerate_seconds;
-  CFL_STATS_ONLY({
-    MatchStats& s = result.stats;
-    s.enumerate_seconds = result.enumerate_seconds;
-    for (const EnumStats& shard : shard_stats) s.enumeration.Merge(shard);
-    s.candidates_tried = result.candidates_tried;
-    s.candidates_bound = result.candidates_bound;
-    s.embeddings_found = result.embeddings;
-    s.threads = shards;
-    s.root_candidates = root_count;
-    s.worker_roots_claimed = std::move(roots_claimed);
-  })
+
+  FinishResult(embeddings, timed_out, cap, root_count,
+               {&state.candidates_tried, 1}, {&state.candidates_bound, 1},
+               {&state.stats, 1}, std::move(roots_claimed), phase_timer.Lap(),
+               result);
   return result;
 }
 

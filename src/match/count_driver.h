@@ -1,9 +1,12 @@
-// The counting driver: the one enumeration loop behind every counting
+// The enumeration drivers: the one counting loop behind every counting
 // engine — CflMatcher::Match (one shard, inline), ParallelCflMatcher and
-// the server's QueryScheduler (several shards on a shared TaskPool).
+// the server's QueryScheduler (several shards on a shared TaskPool) — and
+// the one expansion loop behind every on_embedding caller (CflMatcher::Match
+// with a callback, the server's STREAM mode through the scheduler).
 //
-// It runs Core-Match + Forest-Match (Algorithm 5) over a PreparedQuery and
-// counts leaf completions on the fly as Cartesian products (Section 4.4).
+// CountMatches runs Core-Match + Forest-Match (Algorithm 5) over a
+// PreparedQuery and counts leaf completions on the fly as Cartesian
+// products (Section 4.4).
 // The PreparedQuery, the data graph and the query are shared *immutably*
 // by reference; everything enumeration mutates (EnumeratorState, LeafMatcher
 // scratch, the Deadline's tick cache) is private to a shard.
@@ -30,6 +33,15 @@
 // Per-shard effort counters and stats shards are merged in shard order after
 // the join. Without a cap or deadline hit the count and every
 // order-independent counter are identical at any shard count.
+//
+// Expansion (EnumerateMatches) is the same search run as one shard on the
+// calling thread, with leaf assignments expanded one at a time instead of
+// counted: the paper's Algorithm 1 remark ("only one embedding is generated
+// each time") met by a push callback — nothing beyond the O(|V(q)|) search
+// state is ever materialized, and the callback stops the run by returning
+// false. It shares the deadline rule, the result fields and the cap/deadline
+// tie-break above, and its stats equal a one-shard count of the same query
+// on plain graphs (on compressed graphs it emits compressed embeddings).
 
 #ifndef CFL_MATCH_COUNT_DRIVER_H_
 #define CFL_MATCH_COUNT_DRIVER_H_
@@ -61,6 +73,17 @@ MatchResult CountMatches(const Graph& data, const Graph& query,
                          const MatchLimits& limits, uint32_t shards,
                          const ForkJoinFn& fork_join,
                          obs::TimePoint start = obs::Now());
+
+// Expands every embedding of `prepared` (built from `query`) in `data` under
+// `limits` into `on_embedding`, on the calling thread; the run stops once
+// the callback returns false, max_embeddings callbacks have run, or the
+// deadline (counting from `start`) expires. Returns the same fields and
+// stats as CountMatches with one shard.
+MatchResult EnumerateMatches(const Graph& data, const Graph& query,
+                             const PreparedQuery& prepared,
+                             const MatchLimits& limits,
+                             const EmbeddingCallback& on_embedding,
+                             obs::TimePoint start = obs::Now());
 
 }  // namespace cfl
 

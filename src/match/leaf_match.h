@@ -17,7 +17,8 @@
 // Two modes:
 //   * CountEmbeddings: exact number of leaf completions (saturating).
 //   * EnumerateEmbeddings: backtracks over individual leaves and invokes a
-//     visitor per full leaf assignment (plain-graph enumeration API).
+//     visitor per full leaf assignment (the expansion driver,
+//     match/count_driver.h's EnumerateMatches).
 
 #ifndef CFL_MATCH_LEAF_MATCH_H_
 #define CFL_MATCH_LEAF_MATCH_H_
@@ -83,11 +84,10 @@ class LeafMatcher {
 
   // Reused per-call scratch. CountEmbeddings runs once per partial core+
   // forest embedding — the hot loop of the whole matcher — so it must not
-  // allocate. LeafMatcher is consequently not thread-safe; the parallel
-  // matcher gives each enumeration worker its own copy (copying is cheap:
-  // the grouping vectors plus this scratch), all pointing at the one
-  // shared immutable CPI.
-  // cfl-lint: allow(mutable-member) per-call scratch; never shared — each enumeration worker owns a private LeafMatcher copy (DESIGN.md §7)
+  // allocate. LeafMatcher is consequently not thread-safe; each
+  // counting-driver shard constructs its own (cheap: the grouping vectors
+  // plus this scratch), all pointing at the one shared immutable CPI.
+  // cfl-lint: allow(mutable-member) per-call scratch; never shared — each counting-driver shard owns a private LeafMatcher (DESIGN.md §7)
   mutable std::vector<std::vector<std::pair<VertexId, uint32_t>>> avail_;
 };
 

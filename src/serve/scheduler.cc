@@ -65,22 +65,31 @@ uint32_t QueryScheduler::ActiveQueries() {
 MatchResult QueryScheduler::Execute(const Graph& data, const Graph& query,
                                     const PreparedQuery& prepared,
                                     const MatchLimits& requested,
-                                    uint32_t* quota_used) {
+                                    uint32_t* quota_used,
+                                    const EmbeddingCallback& on_embedding) {
   // The deadline counts from arrival, so time spent waiting for admission
   // is charged to the request's time limit.
   const obs::TimePoint arrival = obs::Now();
   const MatchLimits limits = ClampLimits(requested);
   AdmissionTicket ticket(*this);
-  if (quota_used != nullptr) *quota_used = ticket.quota();
+  if (quota_used != nullptr) *quota_used = on_embedding ? 0 : ticket.quota();
 
-  // Even a quota-1 query runs on the pool, never on the session thread, so
-  // `workers` bounds the server's enumeration CPU.
-  MatchResult result = CountMatches(
-      data, query, prepared, limits, ticket.quota(),
-      [this](uint32_t n, const std::function<void(uint32_t)>& body) {
-        ForkJoin(pool_, n, body);
-      },
-      arrival);
+  MatchResult result;
+  if (on_embedding) {
+    // The callback may block on the client's socket: expand on the
+    // caller's thread, never on a pool worker.
+    result = EnumerateMatches(data, query, prepared, limits, on_embedding,
+                              arrival);
+  } else {
+    // Even a quota-1 query runs on the pool, never on the session thread,
+    // so `workers` bounds the server's counting CPU.
+    result = CountMatches(
+        data, query, prepared, limits, ticket.quota(),
+        [this](uint32_t n, const std::function<void(uint32_t)>& body) {
+          ForkJoin(pool_, n, body);
+        },
+        arrival);
+  }
   result.total_seconds = result.OrderingSeconds() + obs::SecondsSince(arrival);
   return result;
 }

@@ -19,9 +19,12 @@
 //     never runs an unbounded query;
 //   - requested embedding caps are clamped to `max_embeddings`.
 //
-// Execute() runs counting queries. Streaming queries enumerate on their
-// session thread via EmbeddingIterator but still take an AdmissionTicket,
-// so they count against the same concurrency budget.
+// Execute() runs both query modes under that one policy. Counting queries
+// fork onto the pool; streaming queries (an on_embedding callback) expand
+// on the caller's session thread through the same driver, because the
+// callback may block on a socket and pool workers must never block — but
+// they still hold an admission slot, so streams count against the same
+// concurrency budget, and their deadline counts from arrival too.
 
 #ifndef CFL_SERVE_SCHEDULER_H_
 #define CFL_SERVE_SCHEDULER_H_
@@ -86,21 +89,25 @@ class QueryScheduler {
   // actually run `requested` as.
   MatchLimits ClampLimits(const MatchLimits& requested) const;
 
-  // Counting execution of `prepared` against `data` under admission
-  // control. The scheduler holds no graph of its own: with dynamic data
-  // graphs (dyn/dynamic_graph.h) every query runs against the epoch
-  // snapshot it pinned, so the caller passes the snapshot's graph — which
-  // must be the instance `prepared`'s CPI candidates refer to. `query`
-  // must be the graph `prepared` was built from (the cache representative
-  // on a hit). Blocks until the query completes; concurrent callers
-  // interleave on the shared workers. `quota_used` (optional) reports the
-  // granted quota. The result carries the same MatchStats as
-  // CflMatcher::Match; total_seconds is the plan's build + order time plus
-  // the wall time of this call, admission wait included.
+  // Execution of `prepared` against `data` under admission control:
+  // counting, or with `on_embedding` set, expansion into the callback on
+  // the calling thread (match/count_driver.h's EnumerateMatches; the run
+  // stops when the callback returns false). The scheduler holds no graph
+  // of its own: with dynamic data graphs (dyn/dynamic_graph.h) every query
+  // runs against the epoch snapshot it pinned, so the caller passes the
+  // snapshot's graph — which must be the instance `prepared`'s CPI
+  // candidates refer to. `query` must be the graph `prepared` was built
+  // from (the cache representative on a hit). Blocks until the query
+  // completes; concurrent callers interleave on the shared workers.
+  // `quota_used` (optional) reports the granted pool quota (0 for a
+  // stream, which uses no pool worker). The result carries the same
+  // MatchStats as CflMatcher::Match; total_seconds is the plan's build +
+  // order time plus the wall time of this call, admission wait included.
   MatchResult Execute(const Graph& data, const Graph& query,
                       const PreparedQuery& prepared,
                       const MatchLimits& requested,
-                      uint32_t* quota_used = nullptr);
+                      uint32_t* quota_used = nullptr,
+                      const EmbeddingCallback& on_embedding = {});
 
   // Queries currently admitted (advisory, for STATS reporting).
   uint32_t ActiveQueries() CFL_EXCLUDES(mu_);

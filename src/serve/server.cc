@@ -14,7 +14,6 @@
 
 #include "check/check.h"
 #include "graph/graph_io.h"
-#include "match/iterator.h"
 #include "obs/clock.h"
 
 namespace cfl::serve {
@@ -339,44 +338,37 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
     plan_graph = std::make_shared<const Graph>(query);
   }
 
-  if (header.mode == QueryMode::kCount) {
-    uint32_t quota = 0;
-    WallTimer enum_timer;
-    MatchResult result = scheduler_.Execute(data, *plan_graph, *plan,
-                                            header.limits, &quota);
-    outcome.enum_ms = enum_timer.Lap() * 1e3;
-    outcome.embeddings = result.embeddings;
-    outcome.reached_limit = result.reached_limit;
-    outcome.timed_out = result.timed_out;
-    outcome.quota = quota;
-  } else {
-    // Streaming pulls embeddings on this session thread (the socket is the
-    // bottleneck, not enumeration) but still holds an admission slot so
-    // streams count against the server's concurrency budget.
-    AdmissionTicket ticket(scheduler_);
-    MatchLimits limits = scheduler_.ClampLimits(header.limits);
-    WallTimer enum_timer;
-    EmbeddingIterator it(data, plan, limits);
-    Embedding embedding;
-    Embedding out;
-    while (it.Next(&embedding)) {
+  // Streams write each embedding as soon as it is produced, on this
+  // session thread, remapped to the client's own vertex numbering when
+  // served from a cached isomorphic plan. A failed write stops the run and
+  // drops the connection.
+  EmbeddingCallback on_embedding;
+  bool write_failed = false;
+  Embedding remapped;
+  if (header.mode == QueryMode::kStream) {
+    on_embedding = [&](const Embedding& embedding) {
       const Embedding* to_send = &embedding;
       if (!remap.empty()) {
-        // Cached plan of an isomorphic query: embedding[] is indexed by
-        // *representative* vertices; translate to the client's numbering.
-        out.resize(embedding.size());
-        for (VertexId u = 0; u < out.size(); ++u) {
-          out[u] = embedding[remap[u]];
+        // embedding[] is indexed by *representative* vertices.
+        remapped.resize(embedding.size());
+        for (VertexId u = 0; u < remapped.size(); ++u) {
+          remapped[u] = embedding[remap[u]];
         }
-        to_send = &out;
+        to_send = &remapped;
       }
-      if (!WriteAll(fd, FormatEmbeddingLine(*to_send) + "\n")) return false;
-    }
-    outcome.enum_ms = enum_timer.Lap() * 1e3;
-    outcome.embeddings = it.produced();
-    outcome.reached_limit = it.reached_limit();
-    outcome.timed_out = it.timed_out();
+      write_failed = !WriteAll(fd, FormatEmbeddingLine(*to_send) + "\n");
+      return !write_failed;
+    };
   }
+  WallTimer enum_timer;
+  const MatchResult result =
+      scheduler_.Execute(data, *plan_graph, *plan, header.limits,
+                         &outcome.quota, on_embedding);
+  if (write_failed) return false;  // client vanished mid-stream
+  outcome.enum_ms = enum_timer.Lap() * 1e3;
+  outcome.embeddings = result.embeddings;
+  outcome.reached_limit = result.reached_limit;
+  outcome.timed_out = result.timed_out;
 
   outcome.total_ms = total_timer.Lap() * 1e3;
   CountQuery(header.mode == QueryMode::kStream);

@@ -21,11 +21,13 @@
 //      The matcher is rebound when the epoch moved since the last prepare;
 //      a plan prepared against a snapshot that is no longer current is
 //      used for its own query but not cached;
-//   4. executes: counting queries fan out over the shared worker pool under
-//      the scheduler's admission control (serve/scheduler.h); streaming
-//      queries pull embeddings one at a time through EmbeddingIterator and
-//      write them back as EMB lines, remapped to the client's own vertex
-//      numbering when served from a cached isomorphic plan.
+//   4. executes through the scheduler (serve/scheduler.h), which owns
+//      admission, limit clamping and the from-arrival deadline for both
+//      modes: counting queries fan out over the shared worker pool;
+//      streaming queries expand on the session thread into a callback that
+//      writes each embedding back as an EMB line the moment it is produced,
+//      remapped to the client's own vertex numbering when served from a
+//      cached isomorphic plan.
 //
 // Concurrency model: the accept loop runs on the caller of Serve();
 // connections are handled as tasks on a session TaskPool (one task per

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "graph/graph_builder.h"
+#include "match/count_driver.h"
 #include "test_util.h"
 
 namespace cfl {
@@ -206,21 +209,37 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LeafCountingTest,
                          ::testing::Range<uint64_t>(0, 25));
 
 // Enumeration mode must produce exactly the same embeddings as brute force.
+// Two generator families: instances 0-14 on sparser graphs with sparse
+// queries at odd seeds, 15-34 on denser graphs with sparse queries at even
+// seeds.
+struct AgreementInput {
+  double average_degree;
+  uint64_t graph_seed;
+  bool sparse;
+  uint64_t query_seed;
+};
+
+AgreementInput AgreementInputAt(uint64_t index) {
+  if (index < 15) return {4.0, index * 13 + 5, index % 2 == 1, index};
+  const uint64_t seed = index - 15;
+  return {4.5, seed * 7 + 2, seed % 2 == 0, seed};
+}
+
 class EnumerationAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnumerationAgreementTest, SetsMatch) {
-  const uint64_t seed = GetParam();
+  const AgreementInput input = AgreementInputAt(GetParam());
   SyntheticOptions options;
   options.num_vertices = 40;
-  options.average_degree = 4.0;
+  options.average_degree = input.average_degree;
   options.num_labels = 3;
-  options.seed = seed * 13 + 5;
+  options.seed = input.graph_seed;
   Graph g = MakeSynthetic(options);
 
   QueryGenOptions query_options;
   query_options.num_vertices = 6;
-  query_options.sparse = (seed % 2 == 1);
-  query_options.seed = seed;
+  query_options.sparse = input.sparse;
+  query_options.seed = input.query_seed;
   Graph q = GenerateQuery(g, query_options);
 
   std::vector<Embedding> truth = testing::BruteForceEmbeddings(q, g);
@@ -234,12 +253,159 @@ TEST_P(EnumerationAgreementTest, SetsMatch) {
     return true;
   };
   MatchResult r = matcher.Match(q, options2);
-  EXPECT_EQ(seen, expected) << "seed " << seed;
-  EXPECT_EQ(r.embeddings, expected.size());
+  const std::string tag = "instance " + std::to_string(GetParam());
+  EXPECT_EQ(seen, expected) << tag;
+  EXPECT_EQ(r.embeddings, expected.size()) << tag;
+  EXPECT_FALSE(r.reached_limit) << tag;
+  EXPECT_FALSE(r.timed_out) << tag;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EnumerationAgreementTest,
-                         ::testing::Range<uint64_t>(0, 15));
+                         ::testing::Range<uint64_t>(0, 35));
+
+// ---- Streaming through on_embedding --------------------------------------
+
+// Collects every embedding Match streams for `q` under `limits`.
+MatchResult StreamAll(CflMatcher& matcher, const Graph& q,
+                      const MatchLimits& limits, std::set<Embedding>* seen) {
+  MatchOptions options;
+  options.limits = limits;
+  options.on_embedding = [seen](const Embedding& m) {
+    EXPECT_TRUE(seen->insert(m).second) << "duplicate embedding";
+    return true;
+  };
+  return matcher.Match(q, options);
+}
+
+TEST(CflMatchStreamTest, Figure3YieldsAllThree) {
+  Graph g = Figure3Data();
+  Graph q = Figure3Query();
+  CflMatcher matcher(g);
+  std::set<Embedding> seen;
+  MatchResult r = StreamAll(matcher, q, {}, &seen);
+  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(r.embeddings, 3u);
+  EXPECT_FALSE(r.reached_limit);
+  EXPECT_FALSE(r.timed_out);
+}
+
+TEST(CflMatchStreamTest, EarlyStopIsCheap) {
+  // Many embeddings, but the callback stops after the first: the run must
+  // end right there, neither capped nor timed out.
+  Graph q = MakeGraph({0, 1, 1}, {{0, 1}, {0, 2}});
+  GraphBuilder b(21);
+  b.SetLabel(0, 0);
+  for (VertexId v = 1; v <= 20; ++v) {
+    b.SetLabel(v, 1);
+    b.AddEdge(0, v);
+  }
+  Graph g = std::move(b).Build();
+
+  CflMatcher matcher(g);
+  MatchOptions options;
+  uint64_t calls = 0;
+  Embedding first;
+  options.on_embedding = [&](const Embedding& m) {
+    ++calls;
+    first = m;
+    return false;
+  };
+  MatchResult r = matcher.Match(q, options);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(r.embeddings, 1u);
+  EXPECT_NE(first[1], first[2]);
+  EXPECT_FALSE(r.reached_limit);
+  EXPECT_FALSE(r.timed_out);
+}
+
+TEST(CflMatchStreamTest, NoEmbeddings) {
+  Graph g = Figure3Data();
+  Graph q = MakeGraph({9, 9}, {{0, 1}});
+  CflMatcher matcher(g);
+  std::set<Embedding> seen;
+  MatchResult r = StreamAll(matcher, q, {}, &seen);
+  EXPECT_TRUE(seen.empty());
+  EXPECT_EQ(r.embeddings, 0u);
+}
+
+TEST(CflMatchStreamTest, HonorsMaxEmbeddings) {
+  Graph g = Figure3Data();
+  Graph q = Figure3Query();  // 3 embeddings total
+  CflMatcher matcher(g);
+  MatchLimits limits;
+  limits.max_embeddings = 2;
+  std::set<Embedding> seen;
+  MatchResult r = StreamAll(matcher, q, limits, &seen);
+  EXPECT_EQ(seen.size(), 2u);  // capped, not exhausted
+  EXPECT_EQ(r.embeddings, 2u);
+  EXPECT_TRUE(r.reached_limit);
+  EXPECT_FALSE(r.timed_out);
+
+  // Same tie-break as counting: reached_limit iff the cap was hit, so a run
+  // that exhausts the space below the cap reports neither flag.
+  limits.max_embeddings = 100;
+  seen.clear();
+  r = StreamAll(matcher, q, limits, &seen);
+  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(r.embeddings, 3u);
+  EXPECT_FALSE(r.reached_limit);
+  EXPECT_FALSE(r.timed_out);
+}
+
+TEST(CflMatchStreamTest, HonorsDeadline) {
+  // A heavy workload (dense bipartite blow-up, millions of embeddings) with
+  // a deadline that has expired by the time enumeration starts: the driver
+  // checks it once up front, so the run ends in timed_out far before the
+  // full result set.
+  GraphBuilder qb(6);
+  for (VertexId v = 0; v < 6; ++v) qb.SetLabel(v, v % 2);
+  for (VertexId a = 0; a < 6; a += 2) {
+    for (VertexId b = 1; b < 6; b += 2) qb.AddEdge(a, b);
+  }
+  Graph q = std::move(qb).Build();
+  GraphBuilder gb(40);
+  for (VertexId v = 0; v < 40; ++v) gb.SetLabel(v, v % 2);
+  for (VertexId a = 0; a < 40; a += 2) {
+    for (VertexId b = 1; b < 40; b += 2) gb.AddEdge(a, b);
+  }
+  Graph g = std::move(gb).Build();
+
+  CflMatcher matcher(g);
+  MatchLimits limits;
+  limits.time_limit_seconds = 1e-9;
+  uint64_t calls = 0;
+  MatchOptions options;
+  options.limits = limits;
+  options.on_embedding = [&](const Embedding&) {
+    ++calls;
+    return true;
+  };
+  MatchResult r = matcher.Match(q, options);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.embeddings, calls);
+  EXPECT_LT(calls, 1u << 20);
+}
+
+TEST(CflMatchStreamTest, StreamsFromSharedPreparedQuery) {
+  Graph g = Figure3Data();
+  Graph q = Figure3Query();
+  CflMatcher matcher(g);
+  std::set<Embedding> direct;
+  StreamAll(matcher, q, {}, &direct);
+  const PreparedQuery prepared = matcher.Prepare(q);
+
+  // Two runs off the same plan: both yield the full set independently.
+  for (int i = 0; i < 2; ++i) {
+    std::set<Embedding> seen;
+    MatchResult r =
+        EnumerateMatches(g, q, prepared, {}, [&](const Embedding& m) {
+          seen.insert(m);
+          return true;
+        });
+    EXPECT_EQ(seen, direct);
+    EXPECT_EQ(r.embeddings, direct.size());
+  }
+}
 
 }  // namespace
 }  // namespace cfl

@@ -28,7 +28,7 @@
 #include "gen/synthetic.h"
 #include "graph/graph_builder.h"
 #include "match/cfl_match.h"
-#include "match/iterator.h"
+#include "match/count_driver.h"
 #include "serve/canonical.h"
 #include "serve/client.h"
 #include "serve/plan_cache.h"
@@ -60,6 +60,20 @@ Graph Relabel(const Graph& q, Rng& rng) {
     }
   }
   return std::move(builder).Build();
+}
+
+// on_embedding callback collecting every embedding into `out`, translated
+// to the caller's numbering through `remap` (caller vertex -> plan vertex,
+// as in PlanCache::Hit) when one is given: the reference sets that streamed
+// replies are checked against.
+EmbeddingCallback CollectInto(std::set<Embedding>* out,
+                              std::vector<VertexId> remap = {}) {
+  return [out, remap = std::move(remap)](const Embedding& m) {
+    Embedding translated = m;
+    for (VertexId u = 0; u < remap.size(); ++u) translated[u] = m[remap[u]];
+    out->insert(std::move(translated));
+    return true;
+  };
 }
 
 Graph TestData() {
@@ -174,25 +188,14 @@ TEST(PlanCacheTest, CacheHitResultsAreBitIdenticalToColdPrepare) {
 
     // Cold path: prepare `relabeled` from scratch and stream everything.
     std::set<Embedding> cold;
-    {
-      EmbeddingIterator it(data, relabeled);
-      Embedding m;
-      while (it.Next(&m)) cold.insert(m);
-    }
+    MatchOptions options;
+    options.on_embedding = CollectInto(&cold);
+    matcher.Match(relabeled, options);
     // Cached path: stream from the shared plan (the *representative*'s
     // numbering) and translate through the hit's remap.
     std::set<Embedding> cached;
-    {
-      EmbeddingIterator it(data, hit.plan);
-      Embedding m;
-      while (it.Next(&m)) {
-        Embedding translated(m.size());
-        for (VertexId u = 0; u < translated.size(); ++u) {
-          translated[u] = m[hit.remap[u]];
-        }
-        cached.insert(translated);
-      }
-    }
+    EnumerateMatches(data, *hit.representative, *hit.plan, {},
+                     CollectInto(&cached, hit.remap));
     EXPECT_EQ(cached, cold);
   }
 }
@@ -585,9 +588,9 @@ TEST(QueryServerTest, CountStreamStatsShutdown) {
     std::set<Embedding> streamed(stream.embeddings.begin(),
                                  stream.embeddings.end());
     std::set<Embedding> direct;
-    EmbeddingIterator it(data, q);
-    Embedding m;
-    while (it.Next(&m)) direct.insert(m);
+    MatchOptions direct_options;
+    direct_options.on_embedding = CollectInto(&direct);
+    CflMatcher(data).Match(q, direct_options);
     EXPECT_EQ(streamed, direct);
 
     std::map<std::string, uint64_t> stats = client.Stats();
@@ -622,9 +625,9 @@ TEST(QueryServerTest, StreamedRelabeledQueryIsRemappedToClientNumbering) {
   EXPECT_EQ(reply.outcome.cache, serve::QueryOutcome::Cache::kHit);
 
   std::set<Embedding> expected;
-  EmbeddingIterator it(data, relabeled);
-  Embedding m;
-  while (it.Next(&m)) expected.insert(m);
+  MatchOptions expected_options;
+  expected_options.on_embedding = CollectInto(&expected);
+  CflMatcher(data).Match(relabeled, expected_options);
   std::set<Embedding> streamed(reply.embeddings.begin(),
                                reply.embeddings.end());
   EXPECT_EQ(streamed, expected);
@@ -1004,6 +1007,65 @@ TEST(QueryServerTest, ConcurrentQueriesAndUpdatesKeepInvariants) {
   std::map<std::string, uint64_t> stats = client.Stats();
   EXPECT_EQ(stats["updates"], static_cast<uint64_t>(kBatches));
   EXPECT_GE(stats["epoch"], static_cast<uint64_t>(kBatches));
+}
+
+// A stream's deadline counts from arrival, like a count's: time queued
+// behind another query is charged to it. And a streamer that vanishes
+// mid-stream frees its admission slot: the failed write stops its run.
+TEST(QueryServerTest, StreamDeadlineCoversAdmissionAndVanishedStreamFreesSlot) {
+  constexpr VertexId kLeaves = 40;
+  GraphBuilder builder(kLeaves + 1);
+  builder.SetLabel(0, 0);
+  for (VertexId v = 1; v <= kLeaves; ++v) {
+    builder.SetLabel(v, 1);
+    builder.AddEdge(0, v);
+  }
+  Graph data = std::move(builder).Build();
+
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("streamslot");
+  options.workers = 2;
+  options.max_concurrent_queries = 1;
+  ServerFixture fixture(data, options);
+  serve::ServeClient observer;
+  ASSERT_TRUE(observer.Connect(fixture.socket_path()));
+
+  // A streams hub + 4 leaves (40*39*38*37 embeddings) and never reads, so
+  // its session blocks writing EMB lines while holding the only slot.
+  auto hog = std::make_unique<RawConn>(fixture.socket_path());
+  ASSERT_TRUE(hog->ok());
+  ASSERT_TRUE(hog->Send(
+      "QUERY mode=stream\nt 5 4\nv 0 0\nv 1 1\nv 2 1\nv 3 1\nv 4 1\n"
+      "e 0 1\ne 0 2\ne 0 3\ne 0 4\nEND\n"));
+  for (int attempt = 0; attempt < 500 && observer.Stats()["active"] != 1;
+       ++attempt) {
+    usleep(1'000);
+  }
+  ASSERT_EQ(observer.Stats()["active"], 1u);
+
+  // B queues behind A with a 50 ms limit on a query that would otherwise
+  // finish at once.
+  serve::ServeClient::Reply reply;
+  std::thread streamer([&] {
+    serve::ServeClient client;
+    if (!client.Connect(fixture.socket_path())) return;
+    MatchLimits limits;
+    limits.time_limit_seconds = 0.05;
+    reply = client.Stream(EdgeQuery(0, 1), limits);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  hog.reset();  // A vanishes; its blocked write fails and frees the slot
+  streamer.join();
+
+  ASSERT_TRUE(reply.ok) << reply.error;
+  EXPECT_TRUE(reply.outcome.timed_out);
+  EXPECT_TRUE(reply.embeddings.empty());
+  EXPECT_EQ(reply.outcome.embeddings, 0u);
+
+  serve::ServeClient::Reply count = observer.Count(EdgeQuery(0, 1));
+  ASSERT_TRUE(count.ok) << count.error;
+  EXPECT_EQ(count.outcome.embeddings, kLeaves);
+  EXPECT_FALSE(count.outcome.timed_out);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Execution-stats observability layer (src/obs/): randomized property tests
 // of the accounting identities, serial-vs-parallel stats equivalence across
-// thread counts, deadline/limit edge cases, and the CFL_STATS compile gate.
+// thread counts, expansion-vs-counting stats equality, deadline/limit edge
+// cases, and the CFL_STATS compile gate.
 //
 // The identities under test (see src/obs/stats.h):
 //   * generated[u] - pruned_backward[u] - pruned_bottomup[u] == |C(u)|
@@ -228,6 +229,34 @@ TEST(ParallelStatsTest, OrderIndependentCountersMatchSerial) {
                 result.stats.root_candidates)
           << tag;
     }
+  }
+}
+
+// Expansion mode (on_embedding) runs the same search as a one-shard count,
+// expanding leaf assignments instead of multiplying them: on an uncapped
+// plain-graph run every identity holds and the order-independent totals
+// equal counting mode's.
+TEST(ExpansionStatsTest, MatchCountingModeOnPlainGraphs) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  Graph g = TestData(5);
+  CflMatcher matcher(g);
+  for (uint64_t query_seed = 0; query_seed < 10; ++query_seed) {
+    Graph q = TestQuery(g, query_seed);
+    const std::string tag = "query_seed=" + std::to_string(query_seed);
+    MatchResult counted = matcher.Match(q);
+    MatchOptions options;
+    options.on_embedding = [](const Embedding&) { return true; };
+    MatchResult expanded = matcher.Match(q, options);
+    ExpectStatsConsistent(expanded, tag);
+
+    const MatchStats& a = counted.stats;
+    const MatchStats& b = expanded.stats;
+    EXPECT_EQ(expanded.embeddings, counted.embeddings) << tag;
+    EXPECT_EQ(b.embeddings_found, a.embeddings_found) << tag;
+    EXPECT_EQ(b.candidates_tried, a.candidates_tried) << tag;
+    EXPECT_EQ(b.candidates_bound, a.candidates_bound) << tag;
+    EXPECT_EQ(b.threads, a.threads) << tag;
+    EXPECT_EQ(b.worker_roots_claimed, a.worker_roots_claimed) << tag;
   }
 }
 

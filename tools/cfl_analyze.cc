@@ -182,9 +182,9 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
       // Dynamic graphs sit beside the engines: deltas and folds need only
       // the CSR builder, and the background compactor rides the task pool.
       {"dyn", {"graph", "parallel"}},
-      // The serving stack sits at the top: it drives the match engines via
-      // both the serial iterator and the parallel sharding primitives, and
-      // owns the epoch-versioned data graph.
+      // The serving stack sits at the top: it drives the match drivers
+      // (counting and streaming) over the shared task pool, and owns the
+      // epoch-versioned data graph.
       {"serve",
        {"graph", "kernels", "decomp", "cpi", "order", "validate", "match",
         "parallel", "dyn"}},
