@@ -222,94 +222,10 @@ BENCHMARK(BM_EnumerateHubHeavy)->Arg(8)->Arg(12);
 
 // ---- kernel-layer micro-benchmarks ---------------------------------------
 //
-// Size x selectivity sweeps over the dispatch layer's primitives, each in
-// two flavors: `.../0` pins the scalar reference, `.../1` runs whatever the
-// startup dispatch selected (AVX2 on x86-64 unless CFL_FORCE_SCALAR). The
-// ratio between the two rows is the kernel speedup on this machine.
-
-std::vector<uint32_t> AscendingWithGap(uint64_t seed, size_t n,
-                                       uint32_t max_gap) {
-  std::mt19937 rng(static_cast<uint32_t>(seed));
-  std::uniform_int_distribution<uint32_t> gap(1, max_gap);
-  std::vector<uint32_t> v;
-  v.reserve(n);
-  uint32_t cur = gap(rng);
-  for (size_t i = 0; i < n; ++i) {
-    v.push_back(cur);
-    cur += gap(rng);
-  }
-  return v;
-}
-
-// Args: {size, max_gap, use_dispatch}. Equal-size inputs drawn from the
-// same gap distribution: gap 2 ~ 50% selectivity, gap 16 ~ 6%. Each
-// iteration rotates through distinct input pairs — repeating one pair
-// lets the branch predictor memorize the scalar merge's entire decision
-// sequence at small sizes and report fantasy scalar numbers.
-void BM_IntersectSorted(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const uint32_t gap = static_cast<uint32_t>(state.range(1));
-  const bool dispatched = state.range(2) != 0;
-  constexpr size_t kPairs = 16;
-  std::vector<std::vector<uint32_t>> as, bs;
-  for (size_t p = 0; p < kPairs; ++p) {
-    as.push_back(AscendingWithGap(2 * p + 1, n, gap));
-    bs.push_back(AscendingWithGap(2 * p + 2, n, gap));
-  }
-  std::vector<uint32_t> out;
-  out.reserve(n);
-  size_t p = 0;
-  for (auto _ : state) {
-    out.clear();
-    if (dispatched) {
-      kernels::IntersectSorted(as[p], bs[p], out);
-    } else {
-      kernels::scalar::IntersectSorted(as[p], bs[p], out);
-    }
-    benchmark::DoNotOptimize(out.data());
-    p = (p + 1) % kPairs;
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * n));
-}
-BENCHMARK(BM_IntersectSorted)
-    ->Args({1 << 7, 2, 0})
-    ->Args({1 << 7, 2, 1})
-    ->Args({1 << 10, 2, 0})
-    ->Args({1 << 10, 2, 1})
-    ->Args({1 << 10, 16, 0})
-    ->Args({1 << 10, 16, 1})
-    ->Args({1 << 14, 2, 0})
-    ->Args({1 << 14, 2, 1})
-    ->Args({1 << 14, 16, 0})
-    ->Args({1 << 14, 16, 1});
-
-// Args: {large_size, use_dispatch}. 64:1 skew — past the galloping cutover,
-// so both flavors take the O(small log large) path; this row guards the
-// skew regression rather than showcasing SIMD.
-void BM_IntersectSkewed(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool dispatched = state.range(1) != 0;
-  std::vector<uint32_t> large = AscendingWithGap(3, n, 4);
-  std::vector<uint32_t> small = AscendingWithGap(4, n / 64, 4 * 64);
-  std::vector<uint32_t> out;
-  out.reserve(small.size());
-  for (auto _ : state) {
-    out.clear();
-    if (dispatched) {
-      kernels::IntersectSorted(small, large, out);
-    } else {
-      kernels::scalar::IntersectSorted(small, large, out);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(small.size()));
-}
-BENCHMARK(BM_IntersectSkewed)
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1})
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1});
+// Sweeps over the dispatch layer's primitive, in two flavors: `.../0` pins
+// the scalar reference, `.../1` runs whatever the startup dispatch selected
+// (AVX2 on x86-64 unless CFL_FORCE_SCALAR). The ratio between the two rows
+// is the kernel speedup on the machine at hand.
 
 // Args: {num_backward_edges, pass_biased, use_dispatch}. All-hub plans
 // over the hub-heavy graph — the batched word-AND pass against per-edge

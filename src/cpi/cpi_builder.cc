@@ -1,35 +1,46 @@
 #include "cpi/cpi_builder.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/check.h"
 #include "check/narrow.h"
 #include "cpi/candidate_filter.h"
-#include "kernels/kernels.h"
 #include "obs/clock.h"
 
 namespace cfl {
 
+namespace {
+
+// Seeds are emitted by scanning the bitmap words between the lowest and
+// highest seed while that span holds at most this many words per seed;
+// sparser seed sets are sorted instead, which is then cheaper.
+constexpr size_t kMaxScanWordsPerSeed = 8;
+
+}  // namespace
+
 CpiBuilder::CpiBuilder(const Graph& data)
-    : data_(data), cnt_(data.NumVertices(), 0) {}
+    : data_(data),
+      cnt_(data.NumVertices(), 0),
+      seed_bits_((data.NumVertices() + 63) / 64, 0) {}
 
 void CpiBuilder::RefineRounds(const Label label,
                               const std::vector<VertexId>& against,
                               size_t first) {
   // Rounds over `against[first..]` of the counting intersection (Algorithm 3
-  // lines 6-14 / Lemma 5.1), reformulated over the sorted survivor list:
-  // v survives a round iff some vprime in cand_[uprime] has v in its
-  // label-run — i.e. surv_ ∩ N(vprime, label) is non-empty at v for some
-  // vprime. Each run ∩ surv_ goes through the kernel layer (SIMD block
-  // merge / galloping by skew); cnt_ marks dedup vertices reached through
-  // several vprime runs, and the in-place filter keeps surv_ sorted.
+  // lines 6-14 / Lemma 5.1): v survives round `mark` iff it survived every
+  // earlier round (cnt_[v] == mark-1) and some vprime in cand_[uprime] has v
+  // in its label run. Only the members still in surv_ carry mark-1 (earlier
+  // losers keep a smaller mark, every other vertex 0), so one scan of each
+  // label run bumps exactly the survivors; the in-place filter keeps surv_
+  // sorted.
   uint32_t mark = 1;
-  for (size_t a = first; a < against.size(); ++a, ++mark) {
+  for (size_t a = first; a < against.size() && !surv_.empty(); ++a) {
+    const uint32_t prev = mark++;
     for (VertexId vprime : cand_[against[a]]) {
-      isect_.clear();
-      kernels::IntersectSorted(data_.NeighborsWithLabel(vprime, label), surv_,
-                               isect_);
-      for (VertexId v : isect_) cnt_[v] = mark;
+      for (VertexId v : data_.NeighborsWithLabel(vprime, label)) {
+        if (cnt_[v] == prev) cnt_[v] = mark;
+      }
     }
     std::erase_if(surv_,
                   [this, mark](VertexId v) { return cnt_[v] != mark; });
@@ -47,18 +58,44 @@ void CpiBuilder::GenerateCandidates(const Graph& q, VertexId u,
   // degree filter runs here once — later rounds only shrink the set.
   const Label label = q.label(u);
   const uint32_t min_degree = q.StructuralDegree(u);
+  VertexId lo = kInvalidVertex;
+  VertexId hi = 0;
   for (VertexId vprime : cand_[against.front()]) {
     for (VertexId v : data_.NeighborsWithLabel(vprime, label)) {
       if (cnt_[v] != 0) continue;
       if (data_.degree(v) < min_degree) continue;
       touched_.push_back(v);
       cnt_[v] = 1;
+      seed_bits_[v >> 6] |= uint64_t{1} << (v & 63);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
   }
-  for (VertexId v : touched_) cnt_[v] = 0;
-  std::sort(touched_.begin(), touched_.end());
-  surv_ = touched_;
 
+  // Emit the seeds in ascending order from the bitmap, clearing each word
+  // as it is read. A seed set much smaller than the words it spans is
+  // sorted instead, and its bits are cleared through touched_.
+  surv_.clear();
+  if (!touched_.empty()) {
+    const uint32_t first_word = lo >> 6;
+    const uint32_t last_word = hi >> 6;
+    if (last_word - first_word + 1 >
+        touched_.size() * kMaxScanWordsPerSeed) {
+      for (VertexId v : touched_) seed_bits_[v >> 6] = 0;
+      surv_ = touched_;
+      std::sort(surv_.begin(), surv_.end());
+    } else {
+      for (uint32_t w = first_word; w <= last_word; ++w) {
+        for (uint64_t bits = seed_bits_[w]; bits != 0; bits &= bits - 1) {
+          surv_.push_back(w * 64 +
+                          static_cast<uint32_t>(std::countr_zero(bits)));
+        }
+        seed_bits_[w] = 0;
+      }
+    }
+  }
+
+  // Seeds enter the rounds marked 1.
   RefineRounds(label, against, /*first=*/1);
 
   std::vector<VertexId>& out = cand_[u];
@@ -76,15 +113,16 @@ void CpiBuilder::GenerateCandidates(const Graph& q, VertexId u,
 void CpiBuilder::RefineCandidates(VertexId u,
                                   const std::vector<VertexId>& against) {
   if (against.empty() || cand_[u].empty()) return;
-  // All candidates of u share u's label, so the intersections below only
-  // need that one label run of each vprime. Keep only candidates that
-  // survive every round (Algorithm 3 lines 21-22 / Algorithm 4 lines 5-6).
+  // All candidates of u share u's label, so the rounds below only scan that
+  // one label run of each vprime. Keep only candidates that survive every
+  // round (Algorithm 3 lines 21-22 / Algorithm 4 lines 5-6).
   std::vector<VertexId>& c = cand_[u];
   const Label label = data_.label(c.front());
+  for (VertexId v : c) cnt_[v] = 1;
   surv_ = c;
   RefineRounds(label, against, /*first=*/0);
   for (VertexId v : c) cnt_[v] = 0;  // marks only ever land on subsets of c
-  c = surv_;
+  c.swap(surv_);
 }
 
 void CpiBuilder::TopDownConstruct(const Graph& q, const BfsTree& tree) {
@@ -169,24 +207,27 @@ void CpiBuilder::BuildAdjacency(const BfsTree& tree, Cpi* cpi) {
       const uint64_t entry_base = cpi->adj_entry_arena_.size();
 
       // All child candidates share one label, so only that run of each
-      // parent candidate's adjacency can contribute. An empty child set
-      // degenerates to all-empty blocks.
+      // parent candidate's adjacency can contribute. cnt_ maps each child
+      // candidate to its position + 1 (0: not a candidate); the runs ascend
+      // by id like child_cands, so each block comes out sorted by position.
+      // An empty child set degenerates to all-empty blocks.
       const Label label =
           child_cands.empty() ? 0 : data_.label(child_cands.front());
+      for (uint32_t pos = 0; pos < child_cands.size(); ++pos) {
+        cnt_[child_cands[pos]] = pos + 1;
+      }
 
       cpi->adj_off_arena_.push_back(0);
       for (VertexId vp : parent_cands) {
         if (!child_cands.empty()) {
-          // N_u^{p}(vp) = run ∩ child_cands, emitted as positions into the
-          // (sorted) candidate list: both sides ascend by id, so each block
-          // comes out sorted by position — exactly IntersectPositions,
-          // appended straight into the entry arena.
-          kernels::IntersectPositions(data_.NeighborsWithLabel(vp, label),
-                                      child_cands, cpi->adj_entry_arena_);
+          for (VertexId v : data_.NeighborsWithLabel(vp, label)) {
+            if (cnt_[v] != 0) cpi->adj_entry_arena_.push_back(cnt_[v] - 1);
+          }
         }
         cpi->adj_off_arena_.push_back(
             CheckedU32(cpi->adj_entry_arena_.size() - entry_base));
       }
+      for (VertexId v : child_cands) cnt_[v] = 0;
     }
     cpi->adj_off_start_[u + 1] = cpi->adj_off_arena_.size();
     cpi->adj_entry_start_[u + 1] = cpi->adj_entry_arena_.size();
@@ -194,7 +235,8 @@ void CpiBuilder::BuildAdjacency(const BfsTree& tree, Cpi* cpi) {
 }
 
 Cpi CpiBuilder::Build(const Graph& q, const BfsTree& tree,
-                      CpiStrategy strategy, CpiBuildStats* stats) {
+                      CpiStrategy strategy,
+                      [[maybe_unused]] CpiBuildStats* stats) {
   const uint32_t n = q.NumVertices();
   cand_.assign(n, {});
   stats_ = nullptr;

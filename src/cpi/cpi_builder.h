@@ -15,6 +15,14 @@
 // Together the two phases exploit both directions of every query edge
 // (paper Table 2).
 //
+// Every pass counts rather than intersects, with Lemma 5.1's |V(G)|-sized
+// `cnt` array: a filtering round bumps the marks of the survivors it reaches
+// by scanning each parent candidate's label run once; the seed set is read
+// back in id order from a |V(G)|-bit bitmap, so candidate lists come out
+// sorted with no sort; adjacency lists map run members to child positions
+// through the same array. Each use resets the array through the list it
+// marked, so a build costs O(|E(G)| x |E(q)|) whatever |V(G)| is.
+//
 // Deviation (documented in DESIGN.md): the paper interleaves adjacency-list
 // construction with Algorithm 3 and prunes the lists in Algorithm 4; we
 // build the lists once from the final candidate sets, producing an
@@ -67,18 +75,19 @@ class CpiBuilder {
   void TopDownConstruct(const Graph& q, const BfsTree& tree);
   void BottomUpRefine(const Graph& q, const BfsTree& tree);
 
-  // Intersection-counting primitive (Lemma 5.1): filters the data vertices
-  // that have a neighbor in cand_[u'] for every u' in `against`, optionally
-  // seeding from scratch (generate) or filtering an existing set (refine).
+  // Counting primitive (Lemma 5.1): filters the data vertices that have a
+  // neighbor in cand_[u'] for every u' in `against`, either seeding from
+  // scratch (generate) or filtering an existing set (refine).
   void GenerateCandidates(const Graph& q, VertexId u,
                           const std::vector<VertexId>& against);
   void RefineCandidates(VertexId u, const std::vector<VertexId>& against);
 
   // Shared round loop of the two passes above: filters the sorted survivor
-  // list surv_ against cand_[against[first..]] one round at a time, each
-  // vprime label-run intersected with surv_ through the kernel layer
-  // (kernels/kernels.h). Marks cnt_ with values 1.. per round; callers reset
-  // cnt_ over the round-0 seed set afterwards.
+  // list surv_ against cand_[against[first..]] one round at a time. Members
+  // of surv_ enter with cnt_[v] == 1 and every other vertex with 0; round k
+  // scans each vprime's label run once and moves cnt_[v] from k to k+1, and
+  // the members left at k+1 survive. Callers reset cnt_ over the members
+  // they marked afterwards.
   void RefineRounds(Label label, const std::vector<VertexId>& against,
                     size_t first);
 
@@ -90,15 +99,18 @@ class CpiBuilder {
   // Stats sink for the Build in flight; null when the caller passed none.
   CpiBuildStats* stats_ = nullptr;
 
-  // Scratch, |V(G)|-sized, reset via touched lists after each use.
+  // Scratch, |V(G)|-sized, all-zero between uses. cnt_ holds round marks
+  // (RefineRounds) or child positions + 1 (BuildAdjacency) and is reset
+  // through touched_ or the candidate list it was set from; seed_bits_ holds
+  // one bit per seed of GenerateCandidates and is cleared as it is read.
   std::vector<uint32_t> cnt_;
+  std::vector<uint64_t> seed_bits_;
   std::vector<VertexId> touched_;
 
   // Small reused buffers (cleared per query vertex, allocated once).
   std::vector<VertexId> vis_;    // TopDownConstruct: visited query neighbors
   std::vector<VertexId> lower_;  // BottomUpRefine: lower-level neighbors
   std::vector<VertexId> surv_;   // RefineRounds: sorted survivor list
-  std::vector<VertexId> isect_;  // RefineRounds: per-run intersection
 };
 
 // One-shot convenience wrapper.

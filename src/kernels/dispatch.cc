@@ -5,9 +5,9 @@
 // pins the scalar reference. Reads go through cfl::env's immutable snapshot
 // so the selection is safe to trigger from any thread at any time.
 //
-// On builds without the AVX2 translation unit (non-x86 targets), the
-// cfl::kernels::avx2 symbols are defined here as forwarders to scalar so
-// the property tests link everywhere; Avx2CompiledIn() tells them apart.
+// On builds without the AVX2 tier (non-x86 targets), the cfl::kernels::avx2
+// symbols are defined here as forwarders to scalar so the property tests
+// link everywhere; Avx2CompiledIn() tells them apart.
 
 #include <cstring>
 
@@ -28,15 +28,9 @@ detail::Dispatch MakeDispatch(Isa isa) {
   d.isa = isa;
   if (isa == Isa::kAvx2) {
     d.prefetch = true;
-    d.intersect = &avx2::IntersectSorted;
-    d.count = &avx2::IntersectCount;
-    d.positions = &avx2::IntersectPositions;
     d.verify = &avx2::VerifyBackwardEdges;
   } else {
     d.prefetch = false;
-    d.intersect = &scalar::IntersectSorted;
-    d.count = &scalar::IntersectCount;
-    d.positions = &scalar::IntersectPositions;
     d.verify = &scalar::VerifyBackwardEdges;
   }
   return d;
@@ -92,19 +86,6 @@ const Dispatch& ActiveSlow() {
 // Non-x86 builds: the avx2 entry points exist (tests reference them) but
 // forward to the scalar reference; dispatch never selects them.
 namespace avx2 {
-void IntersectSorted(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                     std::vector<uint32_t>& out) {
-  scalar::IntersectSorted(a, b, out);
-}
-uint64_t IntersectCount(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b) {
-  return scalar::IntersectCount(a, b);
-}
-void IntersectPositions(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b,
-                        std::vector<uint32_t>& out) {
-  scalar::IntersectPositions(a, b, out);
-}
 uint32_t VerifyBackwardEdges(const Graph& data, const BackwardPlan& plan,
                              VertexId v) {
   return scalar::VerifyBackwardEdges(data, plan, v);

@@ -1,14 +1,7 @@
-// SIMD kernel layer: the three primitives the hot paths spend their cycles
-// in, behind one dispatch-at-startup indirection (DESIGN.md §11).
+// Kernel layer: the enumeration descent's two primitives, behind one
+// dispatch-at-startup indirection (DESIGN.md §11). CPI construction needs
+// none: it counts with Lemma 5.1's mark array (cpi/cpi_builder.h).
 //
-//   * Ordered-set intersection (`IntersectSorted` / `IntersectCount` /
-//     `IntersectPositions`): strictly-ascending uint32 inputs — exactly the
-//     label-partitioned adjacency runs and candidate sets the CPI builder
-//     intersects (Algorithm 3 / Lemma 5.1). The strategy is size-adaptive:
-//     balanced inputs take a block-compare merge (AVX2: 8-lane all-pairs
-//     compare per block), skewed inputs take galloping binary search of the
-//     small side inside the large one, so a hub-sized run against a handful
-//     of candidates costs O(small · log large), not O(large).
 //   * Backward-edge verification (`VerifyBackwardEdges`): all backward
 //     non-tree edges of an enumeration step, batched against the data
 //     graph's per-hub bitmap rows (graph.h) word-at-a-time. The enumerator
@@ -19,18 +12,17 @@
 //     candidate span / CPI adjacency offsets on the enumeration descent.
 //
 // Dispatch model: the implementation is selected ONCE, on first use, from
-// cpuid (AVX2 when the binary carries the AVX2 translation unit and the CPU
-// reports support) — overridable with CFL_FORCE_SCALAR=1 for testing, which
+// cpuid (AVX2 when the binary carries the AVX2 tier and the CPU reports
+// support) — overridable with CFL_FORCE_SCALAR=1 for testing, which
 // also disables prefetch so the scalar configuration is the pure reference.
 // Both implementations are always linked; the `scalar` and `avx2`
 // namespaces expose them directly so property tests can pit them against
 // each other bit-for-bit without touching the global selection.
 //
 // Semantics contract: for identical inputs every implementation returns
-// identical bytes — same output values, same order, same first-failure
-// index from VerifyBackwardEdges. The SIMD paths are perf variants, never
-// behavioral ones; tests/kernels_test.cc enforces this across randomized
-// and adversarial inputs.
+// the same first-failure index from VerifyBackwardEdges. The batched path
+// is a perf variant, never a behavioral one; tests/kernels_test.cc enforces
+// this across randomized and adversarial inputs.
 //
 // Raw intrinsics and <immintrin.h> are confined to src/kernels/ by
 // tools/cfl_lint (rule `raw-simd`); engine code sees only this header.
@@ -41,7 +33,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "check/thread_annotations.h"
@@ -53,7 +44,7 @@ namespace cfl::kernels {
 
 enum class Isa : uint8_t { kScalar, kAvx2 };
 
-// True iff the AVX2 translation unit was compiled into this binary
+// True iff the AVX2 tier was compiled into this binary
 // (x86-64 builds; other architectures link scalar forwarders).
 bool Avx2CompiledIn();
 
@@ -106,24 +97,6 @@ struct BackwardPlan {
 uint32_t VerifyBackwardEdges(const Graph& data, const BackwardPlan& plan,
                              VertexId v);
 
-// ---- ordered-set intersection ------------------------------------------
-
-// All inputs must be strictly ascending (the CSR/CPI sortedness invariant);
-// the outputs below are then strictly ascending too.
-
-// Appends a ∩ b (element values) to `out`.
-void IntersectSorted(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                     std::vector<uint32_t>& out);
-
-// |a ∩ b| without materializing it.
-uint64_t IntersectCount(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b);
-
-// Appends the positions (indices into `b`) of the elements of a ∩ b.
-void IntersectPositions(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b,
-                        std::vector<uint32_t>& out);
-
 // ---- prefetch -----------------------------------------------------------
 
 // Read-prefetches the first cache lines of [p, p + bytes) — bounded to a
@@ -133,31 +106,17 @@ void PrefetchSpan(const void* p, size_t bytes);
 
 // ---- per-implementation entry points (tests, dispatch internals) --------
 
-// The scalar reference: plain merge loop plus the same galloping cutover
-// the dispatched entry uses. Always available, on every architecture.
+// The scalar reference: per-edge probes in plan order. Always available,
+// on every architecture.
 namespace scalar {
-void IntersectSorted(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                     std::vector<uint32_t>& out);
-uint64_t IntersectCount(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b);
-void IntersectPositions(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b,
-                        std::vector<uint32_t>& out);
 uint32_t VerifyBackwardEdges(const Graph& data, const BackwardPlan& plan,
                              VertexId v);
 }  // namespace scalar
 
-// The AVX2 implementation. Only callable when Avx2Available(); on builds
-// without the AVX2 translation unit these symbols forward to scalar (and
+// The AVX2-tier implementation. Only selected when Avx2Available(); on
+// builds without the AVX2 tier these symbols forward to scalar (and
 // Avx2CompiledIn() is false).
 namespace avx2 {
-void IntersectSorted(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                     std::vector<uint32_t>& out);
-uint64_t IntersectCount(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b);
-void IntersectPositions(std::span<const uint32_t> a,
-                        std::span<const uint32_t> b,
-                        std::vector<uint32_t>& out);
 uint32_t VerifyBackwardEdges(const Graph& data, const BackwardPlan& plan,
                              VertexId v);
 }  // namespace avx2
@@ -168,12 +127,6 @@ namespace detail {
 struct Dispatch {
   Isa isa = Isa::kScalar;
   bool prefetch = false;
-  void (*intersect)(std::span<const uint32_t>, std::span<const uint32_t>,
-                    std::vector<uint32_t>&) = nullptr;
-  uint64_t (*count)(std::span<const uint32_t>, std::span<const uint32_t>) =
-      nullptr;
-  void (*positions)(std::span<const uint32_t>, std::span<const uint32_t>,
-                    std::vector<uint32_t>&) = nullptr;
   uint32_t (*verify)(const Graph&, const BackwardPlan&, VertexId) = nullptr;
 };
 
@@ -192,23 +145,6 @@ inline const Dispatch& Active() {
   return d != nullptr ? *d : ActiveSlow();
 }
 }  // namespace detail
-
-inline void IntersectSorted(std::span<const uint32_t> a,
-                            std::span<const uint32_t> b,
-                            std::vector<uint32_t>& out) {
-  detail::Active().intersect(a, b, out);
-}
-
-inline uint64_t IntersectCount(std::span<const uint32_t> a,
-                               std::span<const uint32_t> b) {
-  return detail::Active().count(a, b);
-}
-
-inline void IntersectPositions(std::span<const uint32_t> a,
-                               std::span<const uint32_t> b,
-                               std::vector<uint32_t>& out) {
-  detail::Active().positions(a, b, out);
-}
 
 inline uint32_t VerifyBackwardEdges(const Graph& data,
                                     const BackwardPlan& plan, VertexId v) {

@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "baseline/compress.h"
+#include "check/narrow.h"
 #include "cpi/candidate_filter.h"
 #include "cpi/root_select.h"
 #include "decomp/bfs_tree.h"
@@ -337,6 +341,201 @@ TEST(CpiMonotonicityTest, RefinedIsSubsetOfTopDownIsSubsetOfNaive) {
     std::vector<VertexId> r = Sorted(refined.Candidates(u));
     EXPECT_TRUE(std::includes(n.begin(), n.end(), t.begin(), t.end()));
     EXPECT_TRUE(std::includes(t.begin(), t.end(), r.begin(), r.end()));
+  }
+}
+
+// ---- Reference oracle ----------------------------------------------------
+
+// Algorithms 3 + 4 written out literally over std::set, sharing nothing
+// with CpiBuilder but the filters (CandVerify, degree) and Graph::HasEdge.
+struct RefCpi {
+  std::vector<std::set<VertexId>> cand;
+  std::vector<uint64_t> generated, pruned_backward, pruned_bottomup;
+  std::vector<std::vector<uint32_t>> offsets, entries;
+};
+
+std::set<VertexId> NeighborsOfSet(const Graph& g, const std::set<VertexId>& c) {
+  std::set<VertexId> out;
+  for (VertexId v : c) out.insert(g.Neighbors(v).begin(), g.Neighbors(v).end());
+  return out;
+}
+
+// Drops the members of `c` with no neighbor in C(u') for some u' in
+// `against`; returns how many were dropped.
+uint64_t RefPrune(const Graph& g, const std::vector<std::set<VertexId>>& cand,
+                  std::span<const VertexId> against, std::set<VertexId>& c) {
+  const size_t before = c.size();
+  for (VertexId uprime : against) {
+    const std::set<VertexId> reach = NeighborsOfSet(g, cand[uprime]);
+    std::erase_if(c, [&](VertexId v) { return !reach.contains(v); });
+  }
+  return before - c.size();
+}
+
+RefCpi ReferenceCpi(const Graph& q, const Graph& g, const BfsTree& tree,
+                    bool bottom_up) {
+  const uint32_t n = q.NumVertices();
+  RefCpi ref{std::vector<std::set<VertexId>>(n), std::vector<uint64_t>(n),
+             std::vector<uint64_t>(n), std::vector<uint64_t>(n),
+             std::vector<std::vector<uint32_t>>(n),
+             std::vector<std::vector<uint32_t>>(n)};
+  auto admits = [&](VertexId u, VertexId v) {
+    return g.label(v) == q.label(u) && g.degree(v) >= q.StructuralDegree(u);
+  };
+  const VertexId r = tree.root;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (admits(r, v) && CandVerify(q, r, g, v)) ref.cand[r].insert(v);
+  }
+  ref.generated[r] = ref.cand[r].size();
+  std::vector<bool> visited(n, false);
+  visited[r] = true;
+  std::vector<std::vector<VertexId>> unvisited_same_level(n);
+  for (uint32_t lev = 1; lev < tree.NumLevels(); ++lev) {
+    for (VertexId u : tree.levels[lev]) {
+      std::vector<VertexId> vis;
+      for (VertexId uprime : q.Neighbors(u)) {
+        if (visited[uprime]) {
+          vis.push_back(uprime);
+        } else if (tree.level[uprime] == tree.level[u]) {
+          unvisited_same_level[u].push_back(uprime);
+        }
+      }
+      // Seeds come from the first visited neighbor; the rest filter them.
+      for (VertexId v : NeighborsOfSet(g, ref.cand[vis.front()])) {
+        if (admits(u, v)) ref.cand[u].insert(v);
+      }
+      RefPrune(g, ref.cand, std::span(vis).subspan(1), ref.cand[u]);
+      std::erase_if(ref.cand[u],
+                    [&](VertexId v) { return !CandVerify(q, u, g, v); });
+      ref.generated[u] = ref.cand[u].size();
+      visited[u] = true;
+    }
+    for (auto it = tree.levels[lev].rbegin(); it != tree.levels[lev].rend();
+         ++it) {
+      ref.pruned_backward[*it] = RefPrune(g, ref.cand,
+                                          unvisited_same_level[*it],
+                                          ref.cand[*it]);
+    }
+  }
+  if (bottom_up) {
+    for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
+      std::vector<VertexId> lower;
+      for (VertexId uprime : q.Neighbors(*it)) {
+        if (tree.level[uprime] == tree.level[*it] + 1) lower.push_back(uprime);
+      }
+      ref.pruned_bottomup[*it] = RefPrune(g, ref.cand, lower, ref.cand[*it]);
+    }
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    if (u == r) continue;
+    const std::vector<VertexId> child(ref.cand[u].begin(), ref.cand[u].end());
+    ref.offsets[u].push_back(0);
+    for (VertexId vp : ref.cand[tree.parent[u]]) {
+      for (uint32_t i = 0; i < child.size(); ++i) {
+        if (g.HasEdge(vp, child[i])) ref.entries[u].push_back(i);
+      }
+      ref.offsets[u].push_back(CheckedU32(ref.entries[u].size()));
+    }
+  }
+  return ref;
+}
+
+// `builder` is reused across calls, as CflMatcher reuses it across queries,
+// so scratch left dirty by one build would corrupt a later one.
+void ExpectMatchesReference(CpiBuilder& builder, const Graph& q,
+                            const Graph& g, uint64_t seed,
+                            const std::string& where) {
+  const BfsTree tree = BuildBfsTree(q, CheckedU32(seed % q.NumVertices()));
+  for (CpiStrategy strategy : {CpiStrategy::kTopDown, CpiStrategy::kRefined}) {
+    const RefCpi ref =
+        ReferenceCpi(q, g, tree, strategy == CpiStrategy::kRefined);
+    CpiBuildStats stats;
+    Cpi cpi = builder.Build(q, tree, strategy, &stats);
+    for (VertexId u = 0; u < q.NumVertices(); ++u) {
+      const std::string at =
+          where + " strategy " + std::to_string(int(strategy)) + " u " +
+          std::to_string(u);
+      EXPECT_EQ(ToVec(cpi.Candidates(u)),
+                std::vector<VertexId>(ref.cand[u].begin(), ref.cand[u].end()))
+          << at;
+      EXPECT_EQ(ToVec(cpi.AdjacencyOffsets(u)), ref.offsets[u]) << at;
+      EXPECT_EQ(ToVec(cpi.AdjacencyEntries(u)), ref.entries[u]) << at;
+      if (obs::kStatsEnabled) {
+        EXPECT_EQ(stats.generated[u], ref.generated[u]) << at;
+        EXPECT_EQ(stats.pruned_backward[u], ref.pruned_backward[u]) << at;
+        EXPECT_EQ(stats.pruned_bottomup[u], ref.pruned_bottomup[u]) << at;
+      }
+    }
+  }
+}
+
+// |V| straddles the 64-bit word boundary (63/64/65) and grows to sizes
+// where seed sets span many words; 8 queries per size, dense and sparse.
+TEST(CpiReferenceTest, MatchesLiteralAlgorithmsOnSyntheticGraphs) {
+  for (uint32_t num_vertices : {63u, 64u, 65u, 200u, 1000u}) {
+    SyntheticOptions options;
+    options.num_vertices = num_vertices;
+    options.average_degree = 5.0;
+    options.num_labels = num_vertices < 100 ? 3 : 6;
+    options.seed = num_vertices;
+    Graph g = MakeSynthetic(options);
+    CpiBuilder builder(g);
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      QueryGenOptions query_options;
+      query_options.num_vertices = 4 + seed % 5;
+      query_options.sparse = seed % 2 == 0;
+      query_options.seed = seed * 31 + num_vertices;
+      Graph q = GenerateQuery(g, query_options);
+      ExpectMatchesReference(
+          builder, q, g, seed,
+          "|V|=" + std::to_string(num_vertices) + " seed " +
+              std::to_string(seed));
+    }
+  }
+}
+
+// Sparse, label-uniform data over 4096 vertices (64 bitmap words): a label
+// class holds ~256 ids spread across the whole id range, so small seed sets
+// span many words and take the sort path, while larger ones are scanned,
+// through the same reused builder.
+TEST(CpiReferenceTest, MatchesLiteralAlgorithmsOnSparseWideSeedSets) {
+  SyntheticOptions options;
+  options.num_vertices = 4096;
+  options.average_degree = 3.0;
+  options.num_labels = 16;
+  options.label_exponent = 0.0;
+  options.seed = 5;
+  Graph g = MakeSynthetic(options);
+  CpiBuilder builder(g);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    QueryGenOptions query_options;
+    query_options.num_vertices = 4 + seed % 4;
+    query_options.sparse = seed % 2 == 0;
+    query_options.seed = seed;
+    ExpectMatchesReference(builder, GenerateQuery(g, query_options), g, seed,
+                           "wide seed " + std::to_string(seed));
+  }
+}
+
+// A compressed data graph: self-loops on clique classes put a vertex in its
+// own label run, and degrees are effective (expanded) values.
+TEST(CpiReferenceTest, MatchesLiteralAlgorithmsOnCompressedGraph) {
+  SyntheticOptions options;
+  options.num_vertices = 150;
+  options.average_degree = 4.0;
+  options.num_labels = 4;
+  options.seed = 11;
+  Graph g = AddTwinVertices(MakeSynthetic(options), 100, 0.5, 3);
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    QueryGenOptions query_options;
+    query_options.num_vertices = 5;
+    query_options.sparse = seed % 2 == 0;
+    query_options.seed = seed;
+    Graph q = GenerateQuery(g, query_options);
+    CompressedGraph cg = CompressForQuery(g, q);
+    CpiBuilder builder(cg.graph);
+    ExpectMatchesReference(builder, q, cg.graph, seed,
+                           "compressed seed " + std::to_string(seed));
   }
 }
 
