@@ -3,30 +3,29 @@
 // Each committed batch produces a brand-new immutable `Graph` — the next
 // epoch's snapshot — while queries pinned to older epochs keep reading
 // their own instances untouched (dyn/epoch.h). The fold is *incremental*:
-// it never re-sorts the data graph. Untouched vertices' adjacency slices,
-// label runs, and NLF runs are block-copied from the base CSR; touched
-// vertices get their post-delta lists from the delta's linear three-way
-// merge (base run ∪ added − removed, already (label, id)-ordered). Derived
-// structures are rewritten only where they can change:
+// it never re-sorts the data graph. Untouched vertices' adjacency slices
+// are block-copied from the base CSR; touched vertices get their
+// post-delta lists from the delta's linear three-way merge (base run ∪
+// added − removed, already (label, id)-ordered). Every derived index then
+// comes from `Graph::DeriveIndexes` (graph/derived_index.cc), the same
+// function `GraphBuilder` calls, under one rule: copy when untouched,
+// derive when touched.
 //
-//   * degrees / NLF: touched vertices only,
+//   * label runs / degrees / NLF / hub rows: touched vertices derive theirs
+//     from the merged adjacency; untouched ones copy the base's (hub rows
+//     re-strided with a zero tail, since untouched vertices cannot be
+//     adjacent to batch-added ids),
 //   * max-neighbor-degree: touched vertices plus their new neighbors (a
 //     removed edge's far endpoint is itself touched, so that set covers
 //     every vertex whose neighborhood degrees moved),
-//   * label index: one linear counting pass (it is O(n) even in the
-//     builder; not worth diffing),
-//   * hub rows: membership re-derived by the builder's threshold-doubling
-//     scan over the new degrees, then each hub row is block-copied from the
-//     base and bit-patched with the delta mask (cleared for removed, set
-//     for added neighbors) when the vertex had a base row, or rebuilt from
-//     the new adjacency when it crossed the threshold. Row strides grow
-//     with the vertex count; copied rows are re-strided with a zero tail
-//     (untouched vertices cannot be adjacent to batch-added ids).
+//   * label index and hub threshold settlement: one linear pass over the
+//     whole graph, exactly as in a build.
 //
 // The output is content-equal to `GraphBuilder` over the post-delta edge
 // set — same CSR bytes, same indexes, same hub threshold settlement — which
-// is the property the update-vs-rebuild oracle (tests/dyn_oracle_test.cc)
-// checks end to end through every engine's embeddings.
+// tests/dyn_epoch_test.cc checks field by field and the update-vs-rebuild
+// oracle (tests/dyn_oracle_test.cc) checks end to end through every
+// engine's embeddings.
 //
 // FoldDelta also reports the delta's DirtyLabels (delta.h): the exact label
 // set the serve layer uses to invalidate cached plans.

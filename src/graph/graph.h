@@ -16,13 +16,13 @@
 //     (paper Algorithm 6),
 //   * O(1) max-neighbor-degree lookups (paper Lemma A.1).
 //
-// Hub probes: vertices whose structural degree reaches the builder's hub
-// threshold carry a direct-indexed bitset row over all vertex ids, so the
+// Hub probes: vertices whose structural degree reaches kHubDegreeThreshold
+// carry a direct-indexed bitset row over all vertex ids, so the
 // enumerator's backward-edge checks against high-degree vertices — the worst
 // case for binary search — are a single word load. Rows live in one shared
-// arena; the builder only materializes them when the total fits a fixed
-// space budget (raising the threshold until it does), so the index is
-// bounded regardless of the degree distribution.
+// arena, materialized only when the total fits a fixed space budget (the
+// threshold doubles until it does), so the index is bounded regardless of
+// the degree distribution.
 //
 // `Graph` doubles as the representation of *compressed* data graphs produced
 // by the structural-equivalence merging of Ren & Wang [14] (the "-Boost"
@@ -32,11 +32,14 @@
 // (as if the graph were expanded), which is exactly what candidate filters
 // must compare against; `StructuralDegree` reports the raw CSR degree.
 //
-// Instances are created through `GraphBuilder` (graph_builder.h). Once
-// built, a Graph is immutable: every accessor is const and writes nothing
-// (no mutable members, no lazy caches), so a single instance is safe to
-// share by reference across concurrent enumeration workers — the counting
-// driver (match/count_driver.h) depends on this contract. The
+// Instances are created through `GraphBuilder` (graph_builder.h) or
+// `dyn::FoldDelta` (dyn/fold.h). Both lay down the CSR and labels, then call
+// `DeriveIndexes` (graph/derived_index.cc), the one place every derived
+// per-vertex index is computed. Once built, a Graph is immutable: every
+// accessor is const and writes nothing (no mutable members, no lazy
+// caches), so a single instance is safe to share by reference across
+// concurrent enumeration workers — the counting driver
+// (match/count_driver.h) depends on this contract. The
 // CFL_IMMUTABLE_AFTER_BUILD marker below makes the contract machine-checked:
 // tools/cfl_lint rejects non-const public methods, mutable members, and
 // const_cast in marked classes (see check/thread_annotations.h).
@@ -201,11 +204,14 @@ class Graph {
             runs_.data() + run_offsets_[v + 1]};
   }
 
+  // Structural degree at which a vertex first qualifies for a hub row.
+  static constexpr uint32_t kHubDegreeThreshold = 64;
+
   // True iff the hub-probe index was materialized at build time.
   bool HasHubIndex() const { return !hub_bits_.empty(); }
 
-  // The effective degree threshold the builder settled on (after any budget
-  // doubling); 0 if hub probes were disabled.
+  // The degree threshold the hub rows settled on: kHubDegreeThreshold,
+  // doubled until the rows fit the space budget; 0 for an empty graph.
   uint32_t HubDegreeThreshold() const { return hub_degree_threshold_; }
 
   bool IsHub(VertexId v) const {
@@ -233,11 +239,26 @@ class Graph {
   uint64_t MemoryBytes() const;
 
  private:
+  // Both write the CSR (offsets_, neighbors_), labels_, multiplicity_ and
+  // num_edges_, then call DeriveIndexes for everything else.
   friend class GraphBuilder;
-  friend class dyn::GraphFolder;  // writes the same fields as GraphBuilder
+  friend class dyn::GraphFolder;
   friend struct GraphTestAccess;  // check/test_access.h
 
   static constexpr uint32_t kNoHub = static_cast<uint32_t>(-1);
+
+  // Fills every derived index — label runs, effective degrees, num_labels_,
+  // the label index, NLF, mnd and the hub rows — from the CSR, labels_ and
+  // multiplicity_ (derived_index.cc). Called once, on a Graph whose derived
+  // fields are still default-constructed. With `base == nullptr` every vertex is
+  // derived. Otherwise `*this` is `base` after a fold: `touched` lists the
+  // vertices whose adjacency changed (every id >= base->NumVertices() among
+  // them); they are derived from their new adjacency, and every other
+  // vertex copies its runs, NLF, degree and hub row from `base`. Returns
+  // the vertices whose mnd was recomputed (a byte per vertex): the touched
+  // set and its new neighbours, or every vertex without a base.
+  std::vector<uint8_t> DeriveIndexes(const Graph* base,
+                                     std::span<const VertexId> touched);
 
   bool HubBit(uint32_t row, VertexId w) const {
     return (hub_bits_[row * hub_words_per_row_ + (w >> 6)] >>

@@ -75,146 +75,16 @@ Graph GraphBuilder::Build() && {
     for (const auto& [u, v] : edges_) g.neighbors_[cursor[u]++] = v;
   }
 
-  // Label-run index: one LabelRun per maximal same-label stretch of each
-  // adjacency list, offsets relative to the list start.
-  g.run_offsets_.assign(n + 1, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    std::span<const VertexId> adj = g.Neighbors(v);
-    uint64_t count = 0;
-    for (uint32_t i = 0; i < adj.size(); ++i) {
-      if (i == 0 || g.labels_[adj[i]] != g.labels_[adj[i - 1]]) ++count;
-    }
-    g.run_offsets_[v + 1] = g.run_offsets_[v] + count;
-  }
-  g.runs_.reserve(g.run_offsets_[n]);
-  for (uint32_t v = 0; v < n; ++v) {
-    std::span<const VertexId> adj = g.Neighbors(v);
-    for (uint32_t i = 0; i < adj.size(); ++i) {
-      if (i == 0 || g.labels_[adj[i]] != g.labels_[adj[i - 1]]) {
-        g.runs_.push_back({g.labels_[adj[i]], i});
-      }
-    }
-  }
-
   // Undirected edge count: non-loop arcs appear twice, loops once.
   uint64_t loops = 0;
   for (const auto& [u, v] : edges_) {
     if (u == v) ++loops;
   }
   g.num_edges_ = (edges_.size() - loops) / 2 + loops;
+  // The arc list is dead from here on: free it before the indexes grow.
+  std::vector<std::pair<VertexId, VertexId>>().swap(edges_);
 
-  g.num_labels_ = 0;
-  for (Label l : g.labels_) g.num_labels_ = std::max(g.num_labels_, l + 1);
-
-  auto mult = [&g](VertexId v) {
-    return g.multiplicity_.empty() ? 1u : g.multiplicity_[v];
-  };
-
-  g.effective_num_vertices_ = 0;
-  for (uint32_t v = 0; v < n; ++v) g.effective_num_vertices_ += mult(v);
-
-  // Effective degrees: a neighbor hypervertex w contributes mult(w) distinct
-  // expanded neighbors; a self-loop contributes the other mult(v)-1 members.
-  g.effective_degree_.assign(n, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    uint64_t d = 0;
-    for (VertexId w : g.Neighbors(v)) d += (w == v) ? mult(v) - 1 : mult(w);
-    g.effective_degree_[v] = static_cast<uint32_t>(d);
-  }
-
-  // Label index, grouped by label then id.
-  g.label_offsets_.assign(g.num_labels_ + 1, 0);
-  g.label_frequency_.assign(g.num_labels_, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    g.label_offsets_[g.labels_[v] + 1]++;
-    g.label_frequency_[g.labels_[v]] += mult(v);
-  }
-  for (uint32_t l = 0; l < g.num_labels_; ++l) {
-    g.label_offsets_[l + 1] += g.label_offsets_[l];
-  }
-  g.label_vertices_.resize(n);
-  {
-    std::vector<uint64_t> cursor(g.label_offsets_.begin(),
-                                 g.label_offsets_.end() - 1);
-    for (uint32_t v = 0; v < n; ++v) {
-      g.label_vertices_[cursor[g.labels_[v]]++] = v;
-    }
-  }
-
-  // NLF runs: per vertex, (label, effective count) sorted by label.
-  g.nlf_offsets_.assign(n + 1, 0);
-  std::vector<Graph::LabelCount> scratch;
-  std::vector<std::vector<Graph::LabelCount>> runs(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    scratch.clear();
-    for (VertexId w : g.Neighbors(v)) {
-      uint32_t c = (w == v) ? mult(v) - 1 : mult(w);
-      if (c == 0) continue;  // singleton self-loop adds no expanded neighbor
-      scratch.push_back({g.labels_[w], c});
-    }
-    std::sort(scratch.begin(), scratch.end(),
-              [](const Graph::LabelCount& a, const Graph::LabelCount& b) {
-                return a.label < b.label;
-              });
-    std::vector<Graph::LabelCount>& out = runs[v];
-    for (const Graph::LabelCount& lc : scratch) {
-      if (!out.empty() && out.back().label == lc.label) {
-        out.back().count += lc.count;
-      } else {
-        out.push_back(lc);
-      }
-    }
-    g.nlf_offsets_[v + 1] = g.nlf_offsets_[v] + out.size();
-  }
-  g.nlf_.reserve(g.nlf_offsets_[n]);
-  for (uint32_t v = 0; v < n; ++v) {
-    g.nlf_.insert(g.nlf_.end(), runs[v].begin(), runs[v].end());
-  }
-
-  // Max neighbor degree over effective degrees.
-  g.mnd_.assign(n, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    uint32_t best = 0;
-    for (VertexId w : g.Neighbors(v)) {
-      best = std::max(best, g.effective_degree_[w]);
-    }
-    g.mnd_[v] = best;
-  }
-
-  // Hub-probe rows: direct-indexed bitsets for high-degree vertices. Double
-  // the threshold until the rows fit the space budget; a threshold that
-  // exceeds every degree simply yields no rows.
-  if (hub_degree_threshold_ > 0 && n > 0) {
-    const uint64_t words_per_row = (static_cast<uint64_t>(n) + 63) / 64;
-    uint64_t threshold = hub_degree_threshold_;
-    uint64_t num_hubs = 0;
-    for (;;) {
-      num_hubs = 0;
-      for (uint32_t v = 0; v < n; ++v) {
-        if (g.StructuralDegree(v) >= threshold) ++num_hubs;
-      }
-      if (num_hubs * words_per_row * sizeof(uint64_t) <= kHubSpaceBudgetBytes) {
-        break;
-      }
-      threshold *= 2;
-    }
-    g.hub_degree_threshold_ = static_cast<uint32_t>(
-        std::min<uint64_t>(threshold, static_cast<uint32_t>(-1)));
-    if (num_hubs > 0) {
-      g.hub_words_per_row_ = words_per_row;
-      g.hub_index_.assign(n, Graph::kNoHub);
-      g.hub_bits_.assign(num_hubs * words_per_row, 0);
-      uint32_t row = 0;
-      for (uint32_t v = 0; v < n; ++v) {
-        if (g.StructuralDegree(v) < threshold) continue;
-        g.hub_index_[v] = row;
-        uint64_t* bits = g.hub_bits_.data() + row * words_per_row;
-        for (VertexId w : g.Neighbors(v)) bits[w >> 6] |= 1ull << (w & 63);
-        ++row;
-      }
-    }
-  }
-
+  g.DeriveIndexes(/*base=*/nullptr, {});
   return g;
 }
 

@@ -6,11 +6,12 @@
 //   b.AddEdge(0, 1); ...
 //   Graph g = std::move(b).Build();
 //
-// The builder deduplicates edges, (label, id)-sorts adjacency lists, and
-// constructs the label-run / label / NLF / max-neighbor-degree / hub-probe
-// indexes that `Graph` exposes. Self-loops
-// are rejected unless `AllowSelfLoops` was called (they are only meaningful
-// for compressed graphs whose clique classes loop to themselves).
+// The builder deduplicates edges and lays them out as a (label, id)-sorted
+// CSR; `Graph::DeriveIndexes` (graph/derived_index.cc) then fills the
+// label-run / label / NLF / max-neighbor-degree / hub-probe indexes that
+// `Graph` exposes, for every vertex. Self-loops are rejected unless
+// `AllowSelfLoops` was called (they are only meaningful for compressed
+// graphs whose clique classes loop to themselves).
 
 #ifndef CFL_GRAPH_GRAPH_BUILDER_H_
 #define CFL_GRAPH_GRAPH_BUILDER_H_
@@ -41,18 +42,6 @@ class GraphBuilder {
   // num_vertices; every entry must be >= 1.
   void SetMultiplicities(std::vector<uint32_t> multiplicity);
 
-  // Structural-degree threshold above which a vertex gets a direct-indexed
-  // bitset row for O(1) `HasEdge` probes. 0 disables hub rows entirely. The
-  // effective threshold may end up higher: Build doubles it until the rows
-  // fit `kHubSpaceBudgetBytes`. Query graphs are tiny, so this only matters
-  // for data graphs.
-  void SetHubDegreeThreshold(uint32_t threshold) {
-    hub_degree_threshold_ = threshold;
-  }
-
-  static constexpr uint32_t kDefaultHubDegreeThreshold = 64;
-  static constexpr uint64_t kHubSpaceBudgetBytes = 64ull << 20;
-
   uint32_t num_vertices() const { return num_vertices_; }
 
   // Finalizes the graph. The builder is left in a moved-from state.
@@ -64,7 +53,6 @@ class GraphBuilder {
   std::vector<std::pair<VertexId, VertexId>> edges_;  // both directions
   std::vector<uint32_t> multiplicity_;
   bool allow_self_loops_ = false;
-  uint32_t hub_degree_threshold_ = kDefaultHubDegreeThreshold;
 };
 
 // Convenience: builds a graph from labels and an undirected edge list.

@@ -218,21 +218,36 @@ TEST(GraphDeltaTest, RejectsInvalidOps) {
 // ---- fold vs from-scratch rebuild ---------------------------------------
 
 // Full content comparison through the public Graph API: adjacency, label
-// index, NLF, mnd, degrees, and the hub index.
+// runs, label index, NLF, mnd, degrees, and every bit of every hub row.
 void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
   ASSERT_EQ(folded.NumVertices(), rebuilt.NumVertices());
   ASSERT_EQ(folded.NumEdges(), rebuilt.NumEdges());
   ASSERT_EQ(folded.NumLabels(), rebuilt.NumLabels());
   ASSERT_EQ(folded.HasHubIndex(), rebuilt.HasHubIndex());
   ASSERT_EQ(folded.HubDegreeThreshold(), rebuilt.HubDegreeThreshold());
-  for (VertexId v = 0; v < folded.NumVertices(); ++v) {
+  const uint32_t n = folded.NumVertices();
+  for (VertexId v = 0; v < n; ++v) {
     ASSERT_EQ(folded.label(v), rebuilt.label(v)) << v;
     ASSERT_EQ(folded.degree(v), rebuilt.degree(v)) << v;
+    ASSERT_EQ(folded.StructuralDegree(v), rebuilt.StructuralDegree(v)) << v;
     ASSERT_EQ(folded.MaxNeighborDegree(v), rebuilt.MaxNeighborDegree(v)) << v;
     ASSERT_EQ(folded.IsHub(v), rebuilt.IsHub(v)) << v;
     std::span<const VertexId> fn = folded.Neighbors(v);
     std::span<const VertexId> rn = rebuilt.Neighbors(v);
     ASSERT_TRUE(std::equal(fn.begin(), fn.end(), rn.begin(), rn.end())) << v;
+    std::span<const Graph::LabelRun> fr = folded.AdjacencyLabelRuns(v);
+    std::span<const Graph::LabelRun> rr = rebuilt.AdjacencyLabelRuns(v);
+    ASSERT_EQ(fr.size(), rr.size()) << v;
+    for (size_t i = 0; i < fr.size(); ++i) {
+      ASSERT_EQ(fr[i].label, rr[i].label) << v;
+      ASSERT_EQ(fr[i].begin, rr[i].begin) << v;
+    }
+    if (folded.IsHub(v)) {
+      for (VertexId w = 0; w < n; ++w) {
+        ASSERT_EQ(folded.HubRowBit(v, w), rebuilt.HubRowBit(v, w))
+            << "hub " << v << " bit " << w;
+      }
+    }
     std::span<const Graph::LabelCount> fc = folded.NeighborLabelCounts(v);
     std::span<const Graph::LabelCount> rc = rebuilt.NeighborLabelCounts(v);
     ASSERT_EQ(fc.size(), rc.size()) << v;
@@ -286,6 +301,109 @@ TEST(FoldDeltaTest, FoldedGraphMatchesFromScratchRebuild) {
       EXPECT_TRUE(dirty.Contains(delta.LabelOf(v)));
     }
   }
+}
+
+// A base whose ~6 heaviest vertices sit around the hub threshold (64): a
+// sparse random background plus `hubs` vertices of degree 58..72. With
+// n = 318 the row stride is 5 words; ten added vertices push it to 6.
+Graph HubBase(uint64_t seed, uint32_t n, uint32_t hubs) {
+  Rng rng(seed);
+  std::vector<Label> labels(n);
+  for (Label& l : labels) l = static_cast<Label>(rng.Below(4));
+  std::set<std::pair<VertexId, VertexId>> edges;
+  std::vector<uint32_t> degree(n, 0);
+  auto add = [&](VertexId u, VertexId v) {
+    if (u != v && edges.emplace(std::min(u, v), std::max(u, v)).second) {
+      ++degree[u];
+      ++degree[v];
+    }
+  };
+  for (uint32_t e = 0; e < n; ++e) {
+    add(static_cast<VertexId>(rng.Below(n)),
+        static_cast<VertexId>(rng.Below(n)));
+  }
+  for (VertexId h = 0; h < hubs; ++h) {
+    const uint64_t target = rng.Between(58, 72);
+    while (degree[h] < target) add(h, static_cast<VertexId>(rng.Below(n)));
+  }
+  return MakeGraph(labels, {edges.begin(), edges.end()});
+}
+
+// Fold == rebuild where hub rows exist on both sides: hubs gain and lose
+// edges across the threshold in both directions, batch-added vertices
+// (ids past a 64-bit word boundary) attach to hubs, and a hub's neighbour
+// is tombstoned. The last two heavy vertices get no explicit edits, so
+// their rows usually take the copy-from-base path into the wider stride.
+TEST(FoldDeltaTest, FoldedHubRowsMatchFromScratchRebuild) {
+  constexpr uint32_t kN = 318;
+  constexpr uint32_t kHubs = 6;
+  constexpr uint32_t kEdited = 4;
+  uint32_t crossed_up = 0;
+  uint32_t crossed_down = 0;
+  uint32_t copied_rows = 0;
+  for (uint64_t trial = 0; trial < 30; ++trial) {
+    Graph base = HubBase(400 + trial, kN, kHubs);
+    ASSERT_TRUE(base.HasHubIndex());
+    Model model(base);
+    GraphDelta delta(base);
+    Rng rng(2900 + trial);
+
+    std::vector<VertexId> added;
+    for (uint32_t i = 0; i < 10; ++i) {
+      Label l = static_cast<Label>(rng.Below(4));
+      VertexId id = kInvalidVertex;
+      ASSERT_TRUE(delta.AddVertex(l, &id)) << delta.error();
+      ASSERT_EQ(id, model.AddVertex(l));
+      added.push_back(id);
+    }
+    // Tombstone one non-heavy neighbour of hub 0.
+    for (VertexId w : base.Neighbors(0)) {
+      if (w < kHubs) continue;
+      ASSERT_TRUE(delta.RemoveVertex(w)) << delta.error();
+      model.RemoveVertex(w);
+      break;
+    }
+    // Heavy vertices below the threshold gain up to 10 edges; a quarter of
+    // those above lose 10 instead. Gains include the new vertices so hub
+    // rows carry bits in the widened stride's tail.
+    for (VertexId h = 0; h < kEdited; ++h) {
+      const bool grow = !base.IsHub(h) || !rng.Chance(0.25);
+      for (uint32_t k = 0; k < 10; ++k) {
+        if (grow) {
+          VertexId w = (k % 3 == 0)
+                           ? added[rng.Below(added.size())]
+                           : static_cast<VertexId>(rng.Below(kN));
+          if (w == h || !model.alive[w] || model.HasEdge(h, w)) continue;
+          ASSERT_TRUE(delta.AddEdge(h, w)) << delta.error();
+          model.AddEdge(h, w);
+        } else {
+          if (model.adj[h].empty()) break;
+          VertexId w = *std::next(model.adj[h].begin(),
+                                  rng.Below(model.adj[h].size()));
+          ASSERT_TRUE(delta.RemoveEdge(h, w)) << delta.error();
+          model.RemoveEdge(h, w);
+        }
+      }
+    }
+    Mutate(rng, 15, &delta, &model);
+    delta.Seal();
+
+    Graph folded = FoldDelta(base, delta);
+    ValidationResult valid = ValidateGraph(folded);
+    ASSERT_TRUE(valid.ok) << valid.error;
+    Graph rebuilt = model.Rebuild();
+    ASSERT_TRUE(rebuilt.HasHubIndex());
+    ExpectGraphsEqual(folded, rebuilt);
+    if (HasFatalFailure()) return;
+    for (VertexId h = 0; h < kHubs; ++h) {
+      crossed_up += !base.IsHub(h) && folded.IsHub(h);
+      crossed_down += base.IsHub(h) && !folded.IsHub(h);
+      copied_rows += base.IsHub(h) && folded.IsHub(h) && !delta.IsTouched(h);
+    }
+  }
+  EXPECT_GT(crossed_up, 0u);
+  EXPECT_GT(crossed_down, 0u);
+  EXPECT_GT(copied_rows, 0u);
 }
 
 TEST(FoldDeltaTest, TombstonesKeepLabelAndLoseEdges) {

@@ -303,45 +303,85 @@ Graph OracleBase(uint64_t seed) {
   return MakeSynthetic(options);
 }
 
+// A base with hub rows: the oracle background plus `hubs` vertices of
+// degree 64..74, just over the hub threshold (64). Random removals land on
+// hub edges far more often than random additions do, so over a sweep some
+// hubs drop below the threshold while others keep their rows.
+Graph HubOracleBase(uint64_t seed, uint32_t hubs) {
+  SyntheticOptions options;
+  options.num_vertices = 200;
+  options.average_degree = 3.5;
+  options.num_labels = 4;
+  options.seed = seed;
+  Graph background = MakeSynthetic(options);
+  Model model(background);
+  Rng rng(seed);
+  for (VertexId h = 0; h < hubs; ++h) {
+    const uint64_t target = rng.Between(64, 74);
+    while (model.adj[h].size() < target) {
+      const VertexId w = static_cast<VertexId>(rng.Below(options.num_vertices));
+      if (w != h && model.adj[h].count(w) == 0) {
+        model.Apply({Op::kAddEdge, h, w});
+      }
+    }
+  }
+  return model.Rebuild();
+}
+
+// Commits `batches` random batches of `ops_per_batch` ops to `base` with
+// compaction off (isolating the incremental fold), checking each folded
+// epoch against a rebuild through every engine. Stops at the first
+// divergence: one shrunk reproducer is worth more than a cascade.
+void SweepBatches(const Graph& base, uint64_t seed, uint32_t batches,
+                  uint32_t ops_per_batch, bool sparse_queries) {
+  Model model(base);
+  DynamicGraph dg(base, DynOptions{0.0, false});
+  Rng rng(seed * 31 + 7);
+
+  for (uint32_t batch = 0; batch < batches; ++batch) {
+    dyn::Snapshot snap = dg.Acquire();
+    Graph before = snap.graph();  // copy: the shrinker's base
+    std::vector<Op> ops = GenerateBatch(rng, &model, ops_per_batch,
+                                        snap.graph().NumVertices());
+
+    GraphDelta delta = dg.NewDelta(snap);
+    for (const Op& op : ops) {
+      ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
+    }
+    ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
+    snap.ReleasePin();
+
+    dyn::Snapshot now = dg.Acquire();
+    const Graph& folded = now.graph();
+    Graph rebuilt = model.Rebuild();
+    ValidationResult valid = ValidateGraph(folded);
+    ASSERT_TRUE(valid.ok) << valid.error << " (seed " << seed << ")";
+
+    std::vector<Graph> queries =
+        GenerateQuerySet(rebuilt, 2, 5, sparse_queries, seed + batch);
+    ASSERT_TRUE(
+        CheckBatch(before, ops, folded, rebuilt, queries, seed, batch));
+    now.ReleasePin();
+  }
+}
+
 // ---- the main sweep: 50 trials x 4 batches = 200 seeded batches ---------
 
 TEST(DynOracleTest, TwoHundredSeededBatchesAcrossEngines) {
-  constexpr uint64_t kTrials = 50;
-  constexpr uint32_t kBatches = 4;
-  for (uint64_t trial = 0; trial < kTrials; ++trial) {
-    const uint64_t seed = 5000 + trial;
-    Graph base = OracleBase(seed);
-    Model model(base);
-    // Compaction off: this sweep isolates the incremental fold path.
-    DynamicGraph dg(base, DynOptions{0.0, false});
-    Rng rng(seed * 31 + 7);
+  for (uint64_t seed = 5000; seed < 5050; ++seed) {
+    SweepBatches(OracleBase(seed), seed, 4, 10, /*sparse_queries=*/true);
+    if (HasFatalFailure()) return;
+  }
+}
 
-    for (uint32_t batch = 0; batch < kBatches; ++batch) {
-      dyn::Snapshot snap = dg.Acquire();
-      Graph before = snap.graph();  // copy: the shrinker's base
-      std::vector<Op> ops =
-          GenerateBatch(rng, &model, 10, snap.graph().NumVertices());
+// ---- hub-bearing bases: folded hub rows feed the backward-edge checks ---
 
-      GraphDelta delta = dg.NewDelta(snap);
-      for (const Op& op : ops) {
-        ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
-      }
-      ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-      snap.ReleasePin();
-
-      dyn::Snapshot now = dg.Acquire();
-      const Graph& folded = now.graph();
-      Graph rebuilt = model.Rebuild();
-      ValidationResult valid = ValidateGraph(folded);
-      ASSERT_TRUE(valid.ok) << valid.error << " (seed " << seed << ")";
-
-      std::vector<Graph> queries =
-          GenerateQuerySet(rebuilt, 2, 5, /*sparse=*/true, seed + batch);
-      if (!CheckBatch(before, ops, folded, rebuilt, queries, seed, batch)) {
-        return;  // one shrunk reproducer is worth more than a cascade
-      }
-      now.ReleasePin();
-    }
+TEST(DynOracleTest, HubRowsSurviveFoldAcrossEngines) {
+  for (uint64_t seed = 7000; seed < 7004; ++seed) {
+    Graph base = HubOracleBase(seed, 4);
+    ASSERT_TRUE(base.HasHubIndex());
+    SweepBatches(base, seed, 3, 16, /*sparse_queries=*/false);
+    if (HasFatalFailure()) return;
   }
 }
 

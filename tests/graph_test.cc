@@ -95,12 +95,13 @@ TEST(GraphTest, NeighborsWithLabelOnSelfLoopCompressedVertex) {
 }
 
 TEST(GraphTest, HubProbesAgreeWithBinarySearch) {
-  // Randomized graphs with a skewed degree distribution; a low threshold
-  // forces several hub rows. HasEdge must agree with ground truth whether
-  // the probe goes through a hub bitmap or the binary-search fallback.
+  // Randomized graphs with a skewed degree distribution: three heavy
+  // vertices reach the hub threshold, the rest stay far below it. HasEdge
+  // must agree with ground truth whether the probe goes through a hub
+  // bitmap or the binary-search fallback.
   std::mt19937 rng(20260805);
   for (int trial = 0; trial < 4; ++trial) {
-    const uint32_t n = 80;
+    const uint32_t n = 300;
     GraphBuilder b(n);
     for (VertexId v = 0; v < n; ++v) b.SetLabel(v, v % 5);
     std::set<std::pair<VertexId, VertexId>> truth;
@@ -112,19 +113,20 @@ TEST(GraphTest, HubProbesAgreeWithBinarySearch) {
         truth.emplace(std::min<VertexId>(hub, w), std::max<VertexId>(hub, w));
       }
     }
-    for (int e = 0; e < 200; ++e) {
+    for (int e = 0; e < 600; ++e) {
       VertexId u = pick(rng), v = pick(rng);
       if (u == v) continue;
       b.AddEdge(u, v);
       truth.emplace(std::min(u, v), std::max(u, v));
     }
-    b.SetHubDegreeThreshold(8);
     Graph g = std::move(b).Build();
     ASSERT_TRUE(g.HasHubIndex());
-    EXPECT_EQ(g.HubDegreeThreshold(), 8u);
+    EXPECT_EQ(g.HubDegreeThreshold(), Graph::kHubDegreeThreshold);
     for (VertexId v = 0; v < n; ++v) {
-      EXPECT_EQ(g.IsHub(v), g.StructuralDegree(v) >= 8u) << "v=" << v;
+      EXPECT_EQ(g.IsHub(v), g.StructuralDegree(v) >= Graph::kHubDegreeThreshold)
+          << "v=" << v;
     }
+    for (VertexId hub = 0; hub < 3; ++hub) EXPECT_TRUE(g.IsHub(hub));
     for (VertexId u = 0; u < n; ++u) {
       for (VertexId v = 0; v < n; ++v) {
         const bool expect =
@@ -135,14 +137,15 @@ TEST(GraphTest, HubProbesAgreeWithBinarySearch) {
   }
 }
 
-TEST(GraphTest, HubIndexDisabledByZeroThreshold) {
+TEST(GraphTest, HubIndexAbsentBelowThreshold) {
+  // Every degree is far below kHubDegreeThreshold: no rows are built.
   GraphBuilder b(4);
   for (VertexId v = 0; v < 4; ++v) {
     for (VertexId w = v + 1; w < 4; ++w) b.AddEdge(v, w);
   }
-  b.SetHubDegreeThreshold(0);
   Graph g = std::move(b).Build();
   EXPECT_FALSE(g.HasHubIndex());
+  EXPECT_EQ(g.HubDegreeThreshold(), Graph::kHubDegreeThreshold);
   EXPECT_TRUE(g.HasEdge(0, 3));  // binary-search fallback still works
   EXPECT_FALSE(g.HasEdge(0, 0));
 }

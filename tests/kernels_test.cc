@@ -28,12 +28,11 @@ using kernels::Isa;
 // ---- backward-edge verification ------------------------------------------
 
 // A graph with both hub and non-hub vertices: vertices 0..3 connect to most
-// of the 64 tail vertices (structural degree >= 8 => hubs at threshold 8),
-// the tail vertices keep degree < 8 (non-hubs).
+// of the 96 tail vertices (structural degree >= 64 => hubs), the tail
+// vertices keep degree <= 4 (non-hubs).
 Graph HubMixData() {
-  constexpr uint32_t kTail = 64;
+  constexpr uint32_t kTail = 96;
   GraphBuilder b(4 + kTail);
-  b.SetHubDegreeThreshold(8);
   for (uint32_t v = 0; v < 4 + kTail; ++v) b.SetLabel(v, 0);
   for (uint32_t h = 0; h < 4; ++h) {
     for (uint32_t t = 0; t < kTail; ++t) {
@@ -108,9 +107,9 @@ TEST(KernelsVerifyTest, EmptyPlanAlwaysPasses) {
 }
 
 TEST(KernelsVerifyTest, WorksWithoutHubIndex) {
-  // Hub rows disabled entirely: every plan edge falls back to HasEdge.
+  // Every degree is below the hub threshold, so the graph has no hub
+  // index: every plan edge falls back to HasEdge.
   GraphBuilder b(6);
-  b.SetHubDegreeThreshold(0);
   for (uint32_t v = 0; v < 6; ++v) b.SetLabel(v, 0);
   b.AddEdge(0, 1);
   b.AddEdge(0, 2);
