@@ -16,7 +16,7 @@
 // side; qps + p50/p95 on the query side for both phases, so the cost of
 // epoch folding, plan-cache invalidation and matcher rebinding shows up as
 // the quiet-vs-churn delta. The final STATS line must account for every
-// batch (updates == B, epoch >= B) or the process exits non-zero, so the
+// batch (updates == B, epoch == B) or the process exits non-zero, so the
 // smoke run doubles as an end-to-end UPDATE liveness check. Results append
 // to CFL_BENCH_JSON as {"artifact":"dyn_update", ...} lines; BENCH_10.json
 // in the repo root is a checked-in snapshot.
@@ -226,7 +226,6 @@ void AppendJson(const DriverConfig& d, const QueryPhaseResult& quiet,
       << ",\"update_retries\":" << stat("update_retries")
       << ",\"cache_invalidations\":" << stat("cache_invalidations")
       << ",\"folds\":" << stat("folds")
-      << ",\"compactions\":" << stat("compactions")
       << ",\"final_epoch\":" << stat("epoch") << "}\n";
 }
 
@@ -381,19 +380,18 @@ int main(int argc, char** argv) {
   server_thread.join();
 
   std::printf("stats: updates=%llu retries=%llu invalidations=%llu "
-              "folds=%llu compactions=%llu epoch=%llu\n",
+              "folds=%llu epoch=%llu\n",
               static_cast<unsigned long long>(stats["updates"]),
               static_cast<unsigned long long>(stats["update_retries"]),
               static_cast<unsigned long long>(stats["cache_invalidations"]),
               static_cast<unsigned long long>(stats["folds"]),
-              static_cast<unsigned long long>(stats["compactions"]),
               static_cast<unsigned long long>(stats["epoch"]));
   AppendJson(d, quiet, churn, stats);
 
   const bool pass = churn.failed_batches == 0 &&
                     churn.batches == d.batches &&
                     stats["updates"] == d.batches &&
-                    stats["epoch"] >= d.batches && quiet.errors == 0 &&
+                    stats["epoch"] == d.batches && quiet.errors == 0 &&
                     churn.queries.errors == 0 && quiet.completed > 0 &&
                     churn.queries.completed > 0;
   if (!pass) {

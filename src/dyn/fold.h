@@ -1,14 +1,14 @@
 // Folding a sealed GraphDelta into a fresh epoch Graph.
 //
 // Each committed batch produces a brand-new immutable `Graph` — the next
-// epoch's snapshot — while queries pinned to older epochs keep reading
-// their own instances untouched (dyn/epoch.h). The fold is *incremental*:
-// it never re-sorts the data graph. Untouched vertices' adjacency slices
-// are block-copied from the base CSR; touched vertices get their
-// post-delta lists from the delta's linear three-way merge (base run ∪
-// added − removed, already (label, id)-ordered). Every derived index then
-// comes from `Graph::DeriveIndexes` (graph/derived_index.cc), the same
-// function `GraphBuilder` calls, under one rule: copy when untouched,
+// epoch's snapshot — while queries holding older epochs keep reading
+// their own instances untouched (dyn/dynamic_graph.h). The fold is
+// *incremental*: it never re-sorts the data graph. Untouched vertices'
+// adjacency slices are block-copied from the base CSR; touched vertices
+// get their post-delta lists from the delta's linear three-way merge (base
+// run ∪ added − removed, already (label, id)-ordered). Every derived index
+// then comes from `Graph::DeriveIndexes` (graph/derived_index.cc), the
+// same function `GraphBuilder` calls, under one rule: copy when untouched,
 // derive when touched.
 //
 //   * label runs / degrees / NLF / hub rows: touched vertices derive theirs

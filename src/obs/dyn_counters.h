@@ -15,20 +15,11 @@ namespace cfl::obs {
 
 struct DynCounters {
   // Lifetime totals.
-  uint64_t epochs_created = 0;   // commits: folds + installed compactions
   uint64_t folds = 0;            // deltas folded into a fresh snapshot
-  uint64_t compactions = 0;      // from-scratch rebuilds installed
-  uint64_t compactions_abandoned = 0;  // rebuilt, but the epoch moved on
-  uint64_t epochs_retired = 0;   // superseded snapshots whose pins drained
-
   uint64_t vertices_added = 0;
   uint64_t vertices_removed = 0;
   uint64_t edges_added = 0;
   uint64_t edges_removed = 0;
-
-  // Gauges sampled when the snapshot of counters is taken.
-  uint64_t live_epochs = 0;      // current + retained-but-not-yet-retired
-  uint64_t pinned_refs = 0;      // outstanding EpochRefs across all epochs
 };
 
 }  // namespace cfl::obs

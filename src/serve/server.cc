@@ -82,8 +82,7 @@ class LineReader {
 
 QueryServer::QueryServer(const Graph& data, const ServeOptions& options)
     : options_(options),
-      dyn_(data, dyn::DynOptions{options.compact_touched_fraction,
-                                 options.background_compaction}),
+      dyn_(data),
       cache_(options.cache_bytes),
       scheduler_(SchedulerOptions{options.workers, options.max_quota,
                                   options.max_concurrent_queries,
@@ -281,7 +280,7 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
                             "\n");
   }
 
-  // Pin the epoch first: everything below — cache lookup, prepare,
+  // Take the snapshot first: everything below — cache lookup, prepare,
   // enumeration — answers as of this snapshot, no matter how many updates
   // commit while the query runs.
   dyn::Snapshot snapshot = dyn_.Acquire();
@@ -312,25 +311,23 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
       // rides inside the critical section (lock order prepare_mu_ ->
       // cache mutex; nothing takes them in the other order).
       MutexLock lock(prepare_mu_);
-      if (matcher_ == nullptr || matcher_epoch_ != snapshot.epoch() ||
-          matcher_graph_ != snapshot.graph_ptr()) {
+      if (matcher_graph_ != snapshot.graph_ptr()) {
         // Rebind the prepare-side matcher to this query's snapshot; the
         // shared_ptr keeps the epoch's graph alive for the matcher's
-        // internal references.
+        // internal references, so no later epoch can reuse its address.
         matcher_graph_ = snapshot.graph_ptr();
         matcher_ = std::make_unique<CflMatcher>(*matcher_graph_);
-        matcher_epoch_ = snapshot.epoch();
       }
       PreparedQuery prepared = matcher_->Prepare(query);
       if (dyn_.CurrentEpoch() == snapshot.epoch()) {
         plan = cache_.Insert(query, std::move(prepared), snapshot.epoch());
       } else {
-        // An update committed since we pinned: this plan describes a
-        // superseded epoch. Correct for *this* query (snapshot isolation)
-        // but must not outlive it in the cache — the committed batch's
-        // invalidation pass ran before this insert would land. Updates
-        // also hold prepare_mu_, so the epoch check and Insert are atomic
-        // with respect to commits.
+        // An update committed since we took the snapshot: this plan
+        // describes a superseded epoch. Correct for *this* query (snapshot
+        // isolation) but must not outlive it in the cache — the committed
+        // batch's invalidation pass ran before this insert would land.
+        // Updates also hold prepare_mu_, so the epoch check and Insert are
+        // atomic with respect to commits.
         plan = std::make_shared<const PreparedQuery>(std::move(prepared));
       }
     }
@@ -402,10 +399,11 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     ops.push_back(*op);
   }
 
-  // Optimistic commit with bounded replay: updates serialize on prepare_mu_,
-  // but the background compactor installs rebuilds outside it, so the delta
-  // we build here can lose the race to a compaction epoch. Rebuilding a
-  // small op batch is cheap; lose eight times in a row and report failure.
+  // Optimistic commit with bounded replay: commits serialize on
+  // prepare_mu_, but the snapshot and the delta are built outside it, so
+  // two UPDATE sessions can both build on the same epoch and the second to
+  // commit is rejected as stale. Rebuilding a small op batch is cheap; lose
+  // eight times in a row and report failure.
   static constexpr int kMaxAttempts = 8;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     dyn::Snapshot snapshot = dyn_.Acquire();
@@ -496,9 +494,6 @@ bool QueryServer::HandleStats(int fd) {
   line += " cache_entries=" + std::to_string(cache.entries);
   line += " epoch=" + std::to_string(dyn_.CurrentEpoch());
   line += " folds=" + std::to_string(dyn.folds);
-  line += " compactions=" + std::to_string(dyn.compactions);
-  line += " epochs_retired=" + std::to_string(dyn.epochs_retired);
-  line += " live_epochs=" + std::to_string(dyn.live_epochs);
   line += " active=" + std::to_string(scheduler_.ActiveQueries());
   line += " workers=" + std::to_string(scheduler_.workers());
   line += "\n";

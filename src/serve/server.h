@@ -5,11 +5,12 @@
 // paying graph load + index warm-up once instead of per cfl_query run. The
 // server owns the graph's evolution from then on: UPDATE requests commit
 // mutation batches through a `DynamicGraph` (dyn/dynamic_graph.h), and
-// every query runs against the immutable epoch snapshot it pins on arrival
-// (snapshot isolation: a query admitted at epoch e answers as of e, even
-// if updates commit mid-flight). Per QUERY request it:
+// every query runs against the immutable epoch snapshot it takes on
+// arrival and holds to the end (snapshot isolation: a query admitted at
+// epoch e answers as of e, even if updates commit mid-flight). Per QUERY
+// request it:
 //
-//   1. pins the current epoch snapshot;
+//   1. takes the current epoch snapshot;
 //   2. looks the query up in the plan/CPI cache (serve/plan_cache.h);
 //      isomorphic queries, under any vertex numbering, share one plan.
 //      Updates invalidate exactly the entries whose query labels the batch
@@ -82,8 +83,8 @@ struct ServeOptions {
   double max_time_limit_seconds = 30.0;
   uint64_t max_embeddings = 0;
 
-  // Dynamic-graph knobs (see dyn::DynOptions).
-  double compact_touched_fraction = 0.25;
+  // No effect: epochs are never compacted. Kept only because perfbench
+  // assigns it; a later benchmark change removes both.
   bool background_compaction = true;
 };
 
@@ -152,7 +153,6 @@ class QueryServer {
   Mutex prepare_mu_ CFL_LOCK_LEVEL(20);
   std::shared_ptr<const Graph> matcher_graph_ CFL_GUARDED_BY(prepare_mu_);
   std::unique_ptr<CflMatcher> matcher_ CFL_GUARDED_BY(prepare_mu_);
-  dyn::Epoch matcher_epoch_ CFL_GUARDED_BY(prepare_mu_) = 0;
 
   PlanCache cache_;
   QueryScheduler scheduler_;

@@ -1,17 +1,13 @@
-// Tests for the dynamic-graph epoch layer (ISSUE 10): the GraphDelta
-// overlay's merged adjacency against a std::set model, FoldDelta content
-// equality with a from-scratch rebuild, snapshot isolation across commits,
-// compaction gating on pinned epochs (the tsan lane's main prey), and
-// EpochRef misuse death tests.
+// Tests for the dynamic-graph epoch layer: the GraphDelta overlay's merged
+// adjacency against a std::set model, FoldDelta content equality with a
+// from-scratch rebuild, snapshot isolation across commits, stale-delta
+// rejection, and snapshot lifetime beyond the DynamicGraph.
 
 #include "dyn/dynamic_graph.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
+#include <memory>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,7 +15,6 @@
 
 #include "check/validate.h"
 #include "dyn/delta.h"
-#include "dyn/epoch.h"
 #include "dyn/fold.h"
 #include "gen/rng.h"
 #include "gen/synthetic.h"
@@ -30,9 +25,6 @@ namespace {
 
 using dyn::DirtyLabels;
 using dyn::DynamicGraph;
-using dyn::DynOptions;
-using dyn::EpochManager;
-using dyn::EpochRef;
 using dyn::FoldDelta;
 using dyn::GraphDelta;
 
@@ -426,8 +418,7 @@ TEST(FoldDeltaTest, TombstonesKeepLabelAndLoseEdges) {
 // ---- snapshots and epochs -----------------------------------------------
 
 TEST(DynamicGraphTest, SnapshotIsolationAcrossCommits) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}),
-                  DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
   dyn::Snapshot before = dg.Acquire();
   EXPECT_EQ(before.epoch(), 0u);
   EXPECT_FALSE(before.graph().HasEdge(1, 2));
@@ -439,18 +430,15 @@ TEST(DynamicGraphTest, SnapshotIsolationAcrossCommits) {
   EXPECT_EQ(result.epoch, 1u);
   EXPECT_EQ(result.added_edges, 1u);
 
-  // The pinned snapshot still answers as of epoch 0.
+  // The held snapshot still answers as of epoch 0.
   EXPECT_FALSE(before.graph().HasEdge(1, 2));
   dyn::Snapshot after = dg.Acquire();
   EXPECT_EQ(after.epoch(), 1u);
   EXPECT_TRUE(after.graph().HasEdge(1, 2));
-  before.ReleasePin();
-  after.ReleasePin();
 }
 
 TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
-  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}),
-                  DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1, 0}, {{0, 1}}));
   dyn::Snapshot snap = dg.Acquire();
   GraphDelta first = dg.NewDelta(snap);
   GraphDelta second = dg.NewDelta(snap);
@@ -462,14 +450,13 @@ TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("stale"), std::string::npos) << *error;
   // Nothing of the stale batch landed.
-  snap.ReleasePin();
   dyn::Snapshot now = dg.Acquire();
   EXPECT_FALSE(now.graph().HasEdge(0, 2));
   EXPECT_EQ(now.epoch(), 1u);
 }
 
 TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {
-  DynamicGraph dg(MakeGraph({0, 1}, {{0, 1}}), DynOptions{0.0, false});
+  DynamicGraph dg(MakeGraph({0, 1}, {{0, 1}}));
   dyn::Snapshot snap = dg.Acquire();
   dyn::ApplyResult result;
   ASSERT_FALSE(dg.Apply(dg.NewDelta(snap), &result).has_value());
@@ -477,118 +464,21 @@ TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {
   EXPECT_EQ(dg.CurrentEpoch(), 0u);
 }
 
-TEST(DynamicGraphTest, CompactionWaitsForPinnedEpochs) {
-  // Manual compaction so the test controls exactly when the rebuild runs.
-  DynamicGraph dg(SmallBase(42), DynOptions{0.0, false});
+TEST(DynamicGraphTest, SnapshotOutlivesDynamicGraph) {
+  // The shared_ptr is the only lifetime guard: a snapshot stays readable
+  // after a commit superseded it and after its DynamicGraph is destroyed.
+  auto dg = std::make_unique<DynamicGraph>(MakeGraph({0, 1, 0}, {{0, 1}}));
+  dyn::Snapshot snap = dg->Acquire();
+  GraphDelta delta = dg->NewDelta(snap);
+  ASSERT_TRUE(delta.AddEdge(1, 2));
+  ASSERT_FALSE(dg->Apply(std::move(delta)).has_value());
+  dg.reset();
 
-  dyn::Snapshot s0 = dg.Acquire();
-  GraphDelta delta = dg.NewDelta(s0);
-  ASSERT_TRUE(delta.AddVertex(2));
-  ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-
-  // Pin the *current* epoch, then pin the superseded one via s0 — the
-  // compactor must wait for every epoch older than its target.
-  dyn::Snapshot s1 = dg.Acquire();
-  std::atomic<bool> compacted{false};
-  std::thread compactor([&] {
-    EXPECT_TRUE(dg.CompactNow());
-    compacted.store(true, std::memory_order_release);
-  });
-
-  // While the old epoch stays pinned the compactor must not finish. A
-  // bounded sleep cannot prove "never", but with tsan on this lane any
-  // install racing the pinned reader would be flagged as well.
-  usleep(50'000);
-  EXPECT_FALSE(compacted.load(std::memory_order_acquire));
-  EXPECT_EQ(dg.Stats().compactions, 0u);
-
-  s0.ReleasePin();  // drain the old epoch: the rebuild may now install
-  compactor.join();
-  EXPECT_TRUE(compacted.load());
-  EXPECT_EQ(dg.Stats().compactions, 1u);
-  s1.ReleasePin();
-}
-
-TEST(DynamicGraphTest, BackgroundCompactionTriggersOnChurn) {
-  // Tiny threshold: the very first batch crosses it.
-  DynamicGraph dg(SmallBase(43), DynOptions{0.001, true});
-  dyn::Snapshot snap = dg.Acquire();
-  GraphDelta delta = dg.NewDelta(snap);
-  ASSERT_TRUE(delta.AddVertex(1));
-  ASSERT_TRUE(delta.AddVertex(3));
-  ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-  snap.ReleasePin();
-
-  // The compactor runs asynchronously; poll until it lands.
-  for (int i = 0; i < 500; ++i) {
-    obs::DynCounters stats = dg.Stats();
-    if (stats.compactions + stats.compactions_abandoned > 0) break;
-    usleep(10'000);
-  }
-  obs::DynCounters stats = dg.Stats();
-  EXPECT_GE(stats.compactions + stats.compactions_abandoned, 1u);
-}
-
-TEST(EpochManagerTest, PinCountsAndDraining) {
-  EpochManager m;
-  EXPECT_EQ(m.current(), 0u);
-  EpochRef a = m.Pin();
-  EpochRef b = m.Pin();
-  EXPECT_EQ(m.PinCount(0), 2u);
-  EXPECT_EQ(m.Advance(), 1u);
-  EpochRef c = m.Pin();
-  EXPECT_EQ(c.epoch(), 1u);
-  EXPECT_EQ(m.PinnedAtOrBelow(0), 2u);
-  EXPECT_EQ(m.PinnedAtOrBelow(1), 3u);
-  a.Release();
-  b.Release();
-  EXPECT_EQ(m.PinnedAtOrBelow(0), 0u);
-  EXPECT_TRUE(m.WaitUntilDrained(0));  // already drained: returns at once
-  c.Release();
-}
-
-TEST(EpochManagerTest, CancelFailsParkedWaiters) {
-  EpochManager m;
-  EpochRef pin = m.Pin();
-  m.Advance();
-  std::atomic<bool> woke{false};
-  bool result = true;
-  std::thread waiter([&] {
-    result = m.WaitUntilDrained(0);  // parked: epoch 0 is pinned
-    woke.store(true, std::memory_order_release);
-  });
-  usleep(20'000);
-  EXPECT_FALSE(woke.load(std::memory_order_acquire));
-  m.Cancel();
-  waiter.join();
-  EXPECT_FALSE(result);  // cancelled, not drained
-  pin.Release();
-}
-
-// ---- misuse death tests -------------------------------------------------
-
-TEST(EpochDeathTest, DoubleReleaseDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        EpochManager m;
-        EpochRef ref = m.Pin();
-        ref.Release();
-        ref.Release();
-      },
-      "");
-}
-
-TEST(EpochDeathTest, LeakedPinAtManagerDestructionDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        auto* m = new EpochManager;
-        EpochRef leaked = m->Pin();
-        delete m;  // dies: a pin is still outstanding
-        leaked.Release();
-      },
-      "");
+  ASSERT_TRUE(ValidateGraph(snap.graph()).ok);
+  EXPECT_EQ(snap.epoch(), 0u);
+  EXPECT_EQ(snap.graph().NumEdges(), 1u);
+  EXPECT_TRUE(snap.graph().HasEdge(0, 1));
+  EXPECT_FALSE(snap.graph().HasEdge(1, 2));
 }
 
 }  // namespace

