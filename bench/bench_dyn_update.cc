@@ -223,7 +223,6 @@ void AppendJson(const DriverConfig& d, const QueryPhaseResult& quiet,
       << ",\"churn_p50_ms\":" << churn.queries.p50_ms
       << ",\"churn_p95_ms\":" << churn.queries.p95_ms
       << ",\"query_errors\":" << quiet.errors + churn.queries.errors
-      << ",\"update_retries\":" << stat("update_retries")
       << ",\"cache_invalidations\":" << stat("cache_invalidations")
       << ",\"folds\":" << stat("folds")
       << ",\"final_epoch\":" << stat("epoch") << "}\n";
@@ -379,10 +378,9 @@ int main(int argc, char** argv) {
   }
   server_thread.join();
 
-  std::printf("stats: updates=%llu retries=%llu invalidations=%llu "
-              "folds=%llu epoch=%llu\n",
+  std::printf("stats: updates=%llu invalidations=%llu folds=%llu "
+              "epoch=%llu\n",
               static_cast<unsigned long long>(stats["updates"]),
-              static_cast<unsigned long long>(stats["update_retries"]),
               static_cast<unsigned long long>(stats["cache_invalidations"]),
               static_cast<unsigned long long>(stats["folds"]),
               static_cast<unsigned long long>(stats["epoch"]));

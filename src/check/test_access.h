@@ -39,6 +39,7 @@ struct GraphTestAccess {
     return g.label_frequency_;
   }
   static std::vector<Graph::LabelCount>& Nlf(Graph& g) { return g.nlf_; }
+  static std::vector<uint64_t>& NlfMask(Graph& g) { return g.nlf_mask_; }
   static std::vector<uint32_t>& Mnd(Graph& g) { return g.mnd_; }
   static uint64_t& NumEdges(Graph& g) { return g.num_edges_; }
 };

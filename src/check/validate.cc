@@ -201,26 +201,38 @@ ValidationResult ValidateGraph(const Graph& g) {
                 " vertices");
   }
 
-  // NLF runs: sorted by label, positive effective counts, exact.
+  // NLF: one entry per label run (checked above against the adjacency),
+  // carrying the run's label and its exact expanded count. Multiplicities
+  // are >= 1 and a self-loop needs multiplicity >= 2, so an exact count is
+  // zero only for a run holding nothing but v's own singleton self-loop.
+  // The mask is the OR of bit (label & 63) over the non-zero entries.
   for (VertexId v = 0; v < n; ++v) {
-    std::span<const Graph::LabelCount> runs = g.NeighborLabelCounts(v);
-    std::map<Label, uint32_t> expected;
-    for (VertexId w : g.Neighbors(v)) {
-      uint32_t c = (w == v) ? g.multiplicity(v) - 1 : g.multiplicity(w);
-      if (c > 0) expected[g.label(w)] += c;
+    std::span<const VertexId> nb = g.Neighbors(v);
+    std::span<const Graph::LabelRun> runs = g.AdjacencyLabelRuns(v);
+    std::span<const Graph::LabelCount> nlf = g.NeighborLabelCounts(v);
+    if (nlf.size() != runs.size()) {
+      return Fail("graph: NLF of vertex ", v, " has ", nlf.size(),
+                  " entries; its adjacency has ", runs.size(), " label runs");
     }
-    if (runs.size() != expected.size()) {
-      return Fail("graph: NLF of vertex ", v, " has ", runs.size(),
-                  " runs; adjacency implies ", expected.size());
-    }
-    auto it = expected.begin();
-    for (size_t i = 0; i < runs.size(); ++i, ++it) {
-      if (runs[i].label != it->first || runs[i].count != it->second) {
-        return Fail("graph: NLF of vertex ", v, " run ", i, " is (label ",
-                    runs[i].label, ", count ", runs[i].count,
-                    "); adjacency implies (label ", it->first, ", count ",
-                    it->second, ")");
+    uint64_t mask = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+      const size_t end = r + 1 < runs.size() ? runs[r + 1].begin : nb.size();
+      uint32_t count = 0;
+      for (size_t i = runs[r].begin; i < end; ++i) {
+        count += nb[i] == v ? g.multiplicity(v) - 1 : g.multiplicity(nb[i]);
       }
+      if (nlf[r].label != runs[r].label || nlf[r].count != count) {
+        return Fail("graph: NLF of vertex ", v, " entry ", r, " is (label ",
+                    nlf[r].label, ", count ", nlf[r].count,
+                    "); its label run implies (label ", runs[r].label,
+                    ", count ", count, ")");
+      }
+      if (count > 0) mask |= uint64_t{1} << (runs[r].label & 63);
+    }
+    if (g.NeighborLabelMask(v) != mask) {
+      return Fail("graph: NeighborLabelMask(", v, ") = ",
+                  g.NeighborLabelMask(v), " but its non-zero NLF entries imply ",
+                  mask);
     }
   }
 

@@ -4,15 +4,19 @@
 // in increasing order of cost:
 //   1. label filter:   l_G(v) == l_q(u)
 //   2. degree filter:  d_G(v) >= d_q(u)
-//   3. maximum-neighbor-degree (MND) filter (Lemma A.1, O(1)):
+//   3. neighbor-label mask, O(1): every bit (l & 63) of u's non-zero NLF
+//      labels is set in v's mask (Graph::NeighborLabelMask) — a necessary
+//      condition for 5, since labels alias modulo 64
+//   4. maximum-neighbor-degree (MND) filter (Lemma A.1, O(1)):
 //      mnd_G(v) >= mnd_q(u)
-//   4. NLF (neighbor label frequency) filter: for every label l among u's
+//   5. NLF (neighbor label frequency) filter: for every label l among u's
 //      neighbors, d_G(v, l) >= d_q(u, l)
 //
-// `CandVerify` is filters 3+4 (Algorithm 6); callers apply 1+2 while
-// scanning. `LabelDegreeIndex` answers "how many data vertices have label l
-// and degree >= d" in O(log), which root selection (A.6) uses to estimate
-// candidate counts cheaply.
+// `CandVerify` is filters 4+5 (Algorithm 6); callers apply 1+2 while
+// scanning, and the CPI builder's seeding loop (cpi_builder.cc) also
+// applies 3 there, before a vertex is marked. `LabelDegreeIndex` answers
+// "how many data vertices have label l and degree >= d" in O(log), which
+// root selection (A.6) uses to estimate candidate counts cheaply.
 
 #ifndef CFL_CPI_CANDIDATE_FILTER_H_
 #define CFL_CPI_CANDIDATE_FILTER_H_

@@ -55,15 +55,20 @@ void CpiBuilder::GenerateCandidates(const Graph& q, VertexId u,
   // Round 0 seeds the survivor set with a counting scan: only data vertices
   // with u's label can survive, so each candidate's neighborhood is scanned
   // through its label run alone (the label filter is implied), and the
-  // degree filter runs here once — later rounds only shrink the set.
+  // degree filter runs here once — later rounds only shrink the set. The
+  // neighbor-label mask rejects most vertices NLF would drop in CandVerify
+  // before they are marked, so they never reach the rounds; it is only a
+  // necessary condition for NLF, so the candidate set is unchanged.
   const Label label = q.label(u);
   const uint32_t min_degree = q.StructuralDegree(u);
+  const uint64_t need = q.NeighborLabelMask(u);
   VertexId lo = kInvalidVertex;
   VertexId hi = 0;
   for (VertexId vprime : cand_[against.front()]) {
     for (VertexId v : data_.NeighborsWithLabel(vprime, label)) {
       if (cnt_[v] != 0) continue;
       if (data_.degree(v) < min_degree) continue;
+      if ((data_.NeighborLabelMask(v) & need) != need) continue;
       touched_.push_back(v);
       cnt_[v] = 1;
       seed_bits_[v >> 6] |= uint64_t{1} << (v & 63);

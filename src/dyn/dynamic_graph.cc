@@ -44,10 +44,6 @@ std::optional<std::string> DynamicGraph::Apply(
   ++epoch_;
 
   counters_.folds++;
-  counters_.vertices_added += delta.AddedVertices();
-  counters_.vertices_removed += delta.RemovedVertices();
-  counters_.edges_added += delta.AddedEdges();
-  counters_.edges_removed += delta.RemovedEdges();
 
   if (on_commit != nullptr) on_commit(dirty);
   if (result != nullptr) {

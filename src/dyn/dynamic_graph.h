@@ -14,7 +14,8 @@
 // fold's DirtyLabels so the serve layer can invalidate exactly the affected
 // cached plans. A delta built against a snapshot that is no longer current
 // is rejected as stale — the caller re-acquires and rebuilds its delta
-// (serve/server.cc does this with a bounded retry).
+// (serve/server.cc avoids the case by acquiring, building and applying
+// under one commit lock).
 //
 // There is no compaction: `Graph::DeriveIndexes` makes every fold
 // content-equal to a from-scratch build of the same graph, and tombstones

@@ -5,10 +5,10 @@
 // content-equal to a rebuild by construction rather than because two copies
 // of each index happen to agree. The rule is the same for every per-vertex
 // array: an untouched vertex's adjacency is byte-identical to the base's,
-// so its label runs, NLF, effective degree and hub row are block-copied;
-// a touched vertex derives them from its new adjacency. The label index and
-// the hub threshold are whole-graph quantities and are recomputed in one
-// linear pass either way.
+// so its label runs, NLF, NLF mask, effective degree and hub row are
+// block-copied; a touched vertex derives them from its new adjacency. The
+// label index and the hub threshold are whole-graph quantities and are
+// recomputed in one linear pass either way.
 
 #include <algorithm>
 #include <cstring>
@@ -59,13 +59,13 @@ std::vector<uint8_t> Graph::DeriveIndexes(const Graph* base,
   }
   runs_.reserve(run_offsets_[n]);
 
-  // Runs, NLF and effective degrees in one per-vertex pass. A neighbor
-  // hypervertex w contributes mult(w) expanded neighbors and a self-loop the
-  // other mult(v)-1 members; an NLF entry is a run's total, skipped at zero
-  // (a singleton self-loop adds no expanded neighbor). The adjacency is
-  // (label, id)-sorted, so each run is one NLF entry with no sorting.
-  nlf_offsets_.assign(n + 1, 0);
+  // Runs, NLF, NLF masks and effective degrees in one per-vertex pass. A
+  // neighbor hypervertex w contributes mult(w) expanded neighbors and a
+  // self-loop the other mult(v)-1 members; each run's total is its NLF
+  // entry, so NLF shares run_offsets_ (a singleton self-loop's run keeps a
+  // zero entry, and only non-zero entries set a mask bit).
   nlf_.reserve(run_offsets_[n]);
+  nlf_mask_.resize(n);
   effective_degree_.resize(n);
   for (uint32_t v = 0; v < n; ++v) {
     if (!fresh[v]) {
@@ -73,10 +73,12 @@ std::vector<uint8_t> Graph::DeriveIndexes(const Graph* base,
       runs_.insert(runs_.end(), runs.begin(), runs.end());
       std::span<const LabelCount> nlf = base->NeighborLabelCounts(v);
       nlf_.insert(nlf_.end(), nlf.begin(), nlf.end());
+      nlf_mask_[v] = base->nlf_mask_[v];
       effective_degree_[v] = base->effective_degree_[v];
     } else {
       std::span<const VertexId> adj = Neighbors(v);
       uint32_t degree = 0;
+      uint64_t mask = 0;
       for (uint32_t i = 0; i < adj.size();) {
         const Label l = labels_[adj[i]];
         runs_.push_back({l, i});
@@ -84,12 +86,13 @@ std::vector<uint8_t> Graph::DeriveIndexes(const Graph* base,
         for (; i < adj.size() && labels_[adj[i]] == l; ++i) {
           count += adj[i] == v ? mult(v) - 1 : mult(adj[i]);
         }
-        if (count > 0) nlf_.push_back({l, count});
+        nlf_.push_back({l, count});
+        if (count > 0) mask |= uint64_t{1} << (l & 63);
         degree += count;
       }
+      nlf_mask_[v] = mask;
       effective_degree_[v] = degree;
     }
-    nlf_offsets_[v + 1] = nlf_.size();
   }
 
   // Label index, grouped by label then id. Tombstoned vertices keep their

@@ -27,8 +27,8 @@ uint64_t Graph::MemoryBytes() const {
   bytes += runs_.capacity() * sizeof(LabelRun);
   bytes += hub_index_.capacity() * sizeof(uint32_t);
   bytes += hub_bits_.capacity() * sizeof(uint64_t);
-  bytes += nlf_offsets_.capacity() * sizeof(uint64_t);
   bytes += nlf_.capacity() * sizeof(LabelCount);
+  bytes += nlf_mask_.capacity() * sizeof(uint64_t);
   bytes += mnd_.capacity() * sizeof(uint32_t);
   return bytes;
 }

@@ -13,7 +13,10 @@
 //     matching label run otherwise,
 //   * O(1) label lookup and candidate seeding via a label index,
 //   * O(log L) neighbor-label-frequency (NLF) lookups for CandVerify
-//     (paper Algorithm 6),
+//     (paper Algorithm 6), one entry per label run so the NLF shares the
+//     run index's offsets,
+//   * a 64-bit neighbor-label mask per vertex, a necessary condition for
+//     NLF that candidate seeding tests in O(1),
 //   * O(1) max-neighbor-degree lookups (paper Lemma A.1).
 //
 // Hub probes: vertices whose structural degree reaches kHubDegreeThreshold
@@ -173,19 +176,22 @@ class Graph {
   // used by the NLF filter (Algorithm 6 lines 2-4).
   uint32_t NeighborLabelCount(VertexId v, Label l) const;
 
-  // Number of distinct labels among v's neighbors; |L_N(v)|.
-  uint32_t NeighborLabelKinds(VertexId v) const {
-    return static_cast<uint32_t>(nlf_offsets_[v + 1] - nlf_offsets_[v]);
-  }
-
-  // Runs of (label, count) over v's neighbors, sorted by label.
+  // v's NLF: one (label, expanded count) entry per label run of its
+  // adjacency (AdjacencyLabelRuns), sorted by label. A count is zero only
+  // for a run that holds nothing but v's own self-loop at multiplicity 1,
+  // which adds no expanded neighbor.
   struct LabelCount {
     Label label;
     uint32_t count;
   };
   std::span<const LabelCount> NeighborLabelCounts(VertexId v) const {
-    return {nlf_.data() + nlf_offsets_[v], nlf_.data() + nlf_offsets_[v + 1]};
+    return {nlf_.data() + run_offsets_[v], nlf_.data() + run_offsets_[v + 1]};
   }
+
+  // Bit (l & 63) is set for every label l with a non-zero NLF count at v.
+  // Labels alias modulo 64, so the mask is only a necessary condition:
+  // (mask(v) & mask_q(u)) == mask_q(u) whenever v passes u's NLF filter.
+  uint64_t NeighborLabelMask(VertexId v) const { return nlf_mask_[v]; }
 
   // The paper's mnd(v) (Definition A.1): max effective degree over N(v).
   // Zero for isolated vertices.
@@ -248,15 +254,16 @@ class Graph {
   static constexpr uint32_t kNoHub = static_cast<uint32_t>(-1);
 
   // Fills every derived index — label runs, effective degrees, num_labels_,
-  // the label index, NLF, mnd and the hub rows — from the CSR, labels_ and
-  // multiplicity_ (derived_index.cc). Called once, on a Graph whose derived
-  // fields are still default-constructed. With `base == nullptr` every vertex is
-  // derived. Otherwise `*this` is `base` after a fold: `touched` lists the
-  // vertices whose adjacency changed (every id >= base->NumVertices() among
-  // them); they are derived from their new adjacency, and every other
-  // vertex copies its runs, NLF, degree and hub row from `base`. Returns
-  // the vertices whose mnd was recomputed (a byte per vertex): the touched
-  // set and its new neighbours, or every vertex without a base.
+  // the label index, NLF and its mask, mnd and the hub rows — from the
+  // CSR, labels_ and multiplicity_ (derived_index.cc). Called once, on a
+  // Graph whose derived fields are still default-constructed. With
+  // `base == nullptr` every vertex is derived. Otherwise `*this` is `base`
+  // after a fold: `touched` lists the vertices whose adjacency changed
+  // (every id >= base->NumVertices() among them); they are derived from
+  // their new adjacency, and every other vertex copies its runs, NLF, NLF
+  // mask, degree and hub row from `base`. Returns the vertices whose mnd
+  // was recomputed (a byte per vertex): the touched set and its new
+  // neighbours, or every vertex without a base.
   std::vector<uint8_t> DeriveIndexes(const Graph* base,
                                      std::span<const VertexId> touched);
 
@@ -293,9 +300,10 @@ class Graph {
   uint64_t hub_words_per_row_ = 0;
   uint32_t hub_degree_threshold_ = 0;
 
-  // NLF index: per-vertex (label, count) runs.
-  std::vector<uint64_t> nlf_offsets_;  // size n+1
-  std::vector<LabelCount> nlf_;
+  // NLF index: one (label, count) entry per label run, indexed by
+  // run_offsets_, and the per-vertex mask of its non-zero labels.
+  std::vector<LabelCount> nlf_;   // parallel to runs_
+  std::vector<uint64_t> nlf_mask_;  // size n
 
   std::vector<uint32_t> mnd_;  // size n
 };

@@ -14,12 +14,8 @@
 namespace cfl::obs {
 
 struct DynCounters {
-  // Lifetime totals.
-  uint64_t folds = 0;            // deltas folded into a fresh snapshot
-  uint64_t vertices_added = 0;
-  uint64_t vertices_removed = 0;
-  uint64_t edges_added = 0;
-  uint64_t edges_removed = 0;
+  // Lifetime total: deltas folded into a fresh snapshot.
+  uint64_t folds = 0;
 };
 
 }  // namespace cfl::obs

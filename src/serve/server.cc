@@ -399,15 +399,22 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     ops.push_back(*op);
   }
 
-  // Optimistic commit with bounded replay: commits serialize on
-  // prepare_mu_, but the snapshot and the delta are built outside it, so
-  // two UPDATE sessions can both build on the same epoch and the second to
-  // commit is rejected as stale. Rebuilding a small op batch is cheap; lose
-  // eight times in a row and report failure.
-  static constexpr int kMaxAttempts = 8;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    dyn::Snapshot snapshot = dyn_.Acquire();
-    dyn::GraphDelta delta = dyn_.NewDelta(snapshot);
+  // The snapshot, the delta and the commit all run under prepare_mu_, so
+  // no other commit can land between Acquire and Apply and the delta is
+  // never stale; building it is O(ops). prepare_mu_ also makes the commit
+  // atomic with HandleQuery's epoch-checked cache inserts, and the
+  // on_commit hook invalidates affected plans before the new epoch is
+  // visible to any Acquire. `base` is declared out here because it is
+  // often the superseded graph's last owner: freeing that graph is O(|V|)
+  // and belongs after the lock and the reply, not inside them.
+  std::optional<dyn::Snapshot> base;
+  dyn::ApplyResult result;
+  uint64_t invalidated = 0;
+  std::optional<std::string> rejected;
+  {
+    MutexLock lock(prepare_mu_);
+    base = dyn_.Acquire();
+    dyn::GraphDelta delta = dyn_.NewDelta(*base);
     for (const UpdateOp& op : ops) {
       bool ok = true;
       switch (op.kind) {
@@ -425,49 +432,39 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
           break;
       }
       if (!ok) {
-        // Whole-batch rejection: nothing of a bad batch is applied.
-        CountError();
-        return WriteAll(fd, "ERR update rejected: " + delta.error() + "\n");
+        rejected = delta.error();
+        break;
       }
     }
-
-    dyn::ApplyResult result;
-    uint64_t invalidated = 0;
-    std::optional<std::string> stale;
-    {
-      // prepare_mu_ makes the commit atomic with HandleQuery's
-      // epoch-checked cache inserts; the on_commit hook invalidates
-      // affected plans before the new epoch is visible to any Acquire.
-      MutexLock lock(prepare_mu_);
-      stale = dyn_.Apply(std::move(delta), &result,
-                         [&](const dyn::DirtyLabels& dirty) {
-                           invalidated = cache_.InvalidateLabels(dirty);
-                         });
+    if (!rejected.has_value()) {
+      [[maybe_unused]] std::optional<std::string> stale =
+          dyn_.Apply(std::move(delta), &result,
+                     [&](const dyn::DirtyLabels& dirty) {
+                       invalidated = cache_.InvalidateLabels(dirty);
+                     });
+      CFL_DCHECK(!stale.has_value()) << " " << *stale;
     }
-    if (stale.has_value()) {
-      MutexLock lock(counter_mu_);
-      ++counters_.update_retries;
-      continue;
-    }
-
-    UpdateOutcome outcome;
-    outcome.epoch = result.epoch;
-    outcome.added_vertices = result.added_vertices;
-    outcome.removed_vertices = result.removed_vertices;
-    outcome.added_edges = result.added_edges;
-    outcome.removed_edges = result.removed_edges;
-    outcome.dirty_labels = static_cast<uint32_t>(result.dirty.labels.size());
-    outcome.invalidated = invalidated;
-    outcome.retained = cache_.Stats().entries;
-    {
-      MutexLock lock(counter_mu_);
-      ++counters_.updates;
-    }
-    return WriteAll(fd, FormatUpdatedLine(outcome) + "\n");
   }
-  CountError();
-  return WriteAll(fd, "ERR update failed: lost the commit race " +
-                          std::to_string(kMaxAttempts) + " times\n");
+  if (rejected.has_value()) {
+    // Whole-batch rejection: nothing of a bad batch is applied.
+    CountError();
+    return WriteAll(fd, "ERR update rejected: " + *rejected + "\n");
+  }
+
+  UpdateOutcome outcome;
+  outcome.epoch = result.epoch;
+  outcome.added_vertices = result.added_vertices;
+  outcome.removed_vertices = result.removed_vertices;
+  outcome.added_edges = result.added_edges;
+  outcome.removed_edges = result.removed_edges;
+  outcome.dirty_labels = static_cast<uint32_t>(result.dirty.labels.size());
+  outcome.invalidated = invalidated;
+  outcome.retained = cache_.Stats().entries;
+  {
+    MutexLock lock(counter_mu_);
+    ++counters_.updates;
+  }
+  return WriteAll(fd, FormatUpdatedLine(outcome) + "\n");
 }
 
 bool QueryServer::HandleStats(int fd) {
@@ -482,7 +479,6 @@ bool QueryServer::HandleStats(int fd) {
   line += " queries=" + std::to_string(counters.queries);
   line += " stream_queries=" + std::to_string(counters.stream_queries);
   line += " updates=" + std::to_string(counters.updates);
-  line += " update_retries=" + std::to_string(counters.update_retries);
   line += " errors=" + std::to_string(counters.errors);
   line += " connections=" + std::to_string(counters.connections);
   line += " cache_hits=" + std::to_string(cache.hits);

@@ -92,9 +92,6 @@ struct ServerCounters {
   uint64_t queries = 0;        // QUERY requests completed
   uint64_t stream_queries = 0;
   uint64_t updates = 0;        // UPDATE batches committed
-  // UPDATE commit attempts that lost the race to a concurrent batch and
-  // were replayed against the fresh snapshot.
-  uint64_t update_retries = 0;
   uint64_t errors = 0;         // ERR responses sent
   uint64_t connections = 0;
 };

@@ -134,6 +134,14 @@ TEST(ValidateGraphTest, CatchesNlfDrift) {
   ExpectFailureContaining(ValidateGraph(g), "NLF");
 }
 
+TEST(ValidateGraphTest, CatchesNeighborLabelMaskDrift) {
+  Graph g = Figure3Data();
+  // v0 has B and C neighbors only; claiming an A neighbor would let seeding
+  // keep a vertex NLF rejects, and dropping a bit would lose candidates.
+  GraphTestAccess::NlfMask(g)[0] ^= uint64_t{1} << kA;
+  ExpectFailureContaining(ValidateGraph(g), "NeighborLabelMask(0)");
+}
+
 TEST(ValidateGraphTest, CatchesWrongEffectiveDegree) {
   Graph g = Figure3Data();
   ++GraphTestAccess::EffectiveDegree(g)[3];

@@ -19,6 +19,7 @@
 #include "decomp/bfs_tree.h"
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
+#include "graph/graph_builder.h"
 #include "test_util.h"
 
 namespace cfl {
@@ -536,6 +537,85 @@ TEST(CpiReferenceTest, MatchesLiteralAlgorithmsOnCompressedGraph) {
     CpiBuilder builder(cg.graph);
     ExpectMatchesReference(builder, q, cg.graph, seed,
                            "compressed seed " + std::to_string(seed));
+  }
+}
+
+// 100 uniform labels: labels l and l + 64 share a bit of the neighbor-label
+// mask, so seeding's mask test lets through vertices that NLF then rejects
+// in CandVerify. The candidate sets must still equal the reference's.
+TEST(CpiReferenceTest, MatchesLiteralAlgorithmsWithAliasedLabelMasks) {
+  SyntheticOptions options;
+  options.num_vertices = 3000;
+  options.average_degree = 8.0;
+  options.num_labels = 100;
+  options.label_exponent = 0.0;
+  options.seed = 17;
+  Graph g = MakeSynthetic(options);
+  ASSERT_GT(g.NumLabels(), 64u);
+  // The data really aliases: some vertex has a mask bit for a label it has
+  // no neighbor of.
+  bool aliased = false;
+  for (VertexId v = 0; v < g.NumVertices() && !aliased; ++v) {
+    for (Label l = 0; l < g.NumLabels() && !aliased; ++l) {
+      aliased = g.NeighborLabelCount(v, l) == 0 &&
+                ((g.NeighborLabelMask(v) >> (l & 63)) & 1) != 0;
+    }
+  }
+  ASSERT_TRUE(aliased);
+  CpiBuilder builder(g);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    QueryGenOptions query_options;
+    query_options.num_vertices = 4 + seed % 5;
+    query_options.sparse = seed % 2 == 0;
+    query_options.seed = seed;
+    ExpectMatchesReference(builder, GenerateQuery(g, query_options), g, seed,
+                           "aliased seed " + std::to_string(seed));
+  }
+}
+
+// A compressed graph where some singleton vertices carry a self-loop: a
+// self-loop run with no other member counts zero expanded neighbors, so its
+// NLF entry is zero and sets no mask bit. Clique classes (multiplicity 2
+// with a self-loop) sit beside them. Queries come from the plain graph.
+TEST(CpiReferenceTest, MatchesLiteralAlgorithmsWithZeroCountSelfLoopRuns) {
+  SyntheticOptions options;
+  options.num_vertices = 400;
+  options.average_degree = 5.0;
+  options.num_labels = 8;
+  options.seed = 23;
+  const Graph plain = MakeSynthetic(options);
+  const uint32_t n = plain.NumVertices();
+  GraphBuilder b(n);
+  b.AllowSelfLoops();
+  std::vector<uint32_t> multiplicity(n, 1);
+  for (VertexId v = 0; v < n; ++v) {
+    b.SetLabel(v, plain.label(v));
+    for (VertexId w : plain.Neighbors(v)) {
+      if (v < w) b.AddEdge(v, w);
+    }
+    if (v % 3 == 0) b.AddEdge(v, v);      // singleton self-loop
+    if (v % 7 == 1) {                     // clique class of two
+      multiplicity[v] = 2;
+      b.AddEdge(v, v);
+    }
+  }
+  b.SetMultiplicities(std::move(multiplicity));
+  const Graph g = std::move(b).Build();
+  bool zero_run = false;
+  for (VertexId v = 0; v < n && !zero_run; ++v) {
+    for (const Graph::LabelCount& entry : g.NeighborLabelCounts(v)) {
+      zero_run = zero_run || entry.count == 0;
+    }
+  }
+  ASSERT_TRUE(zero_run);
+  CpiBuilder builder(g);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    QueryGenOptions query_options;
+    query_options.num_vertices = 4 + seed % 5;
+    query_options.sparse = seed % 2 == 0;
+    query_options.seed = seed;
+    ExpectMatchesReference(builder, GenerateQuery(plain, query_options), g,
+                           seed, "self-loop seed " + std::to_string(seed));
   }
 }
 

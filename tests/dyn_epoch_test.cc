@@ -210,7 +210,8 @@ TEST(GraphDeltaTest, RejectsInvalidOps) {
 // ---- fold vs from-scratch rebuild ---------------------------------------
 
 // Full content comparison through the public Graph API: adjacency, label
-// runs, label index, NLF, mnd, degrees, and every bit of every hub row.
+// runs, label index, NLF and its mask, mnd, degrees, and every bit of
+// every hub row.
 void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
   ASSERT_EQ(folded.NumVertices(), rebuilt.NumVertices());
   ASSERT_EQ(folded.NumEdges(), rebuilt.NumEdges());
@@ -247,6 +248,7 @@ void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
       ASSERT_EQ(fc[i].label, rc[i].label) << v;
       ASSERT_EQ(fc[i].count, rc[i].count) << v;
     }
+    ASSERT_EQ(folded.NeighborLabelMask(v), rebuilt.NeighborLabelMask(v)) << v;
   }
   for (Label l = 0; l < folded.NumLabels(); ++l) {
     std::span<const VertexId> fv = folded.VerticesWithLabel(l);

@@ -189,7 +189,8 @@ TEST(GraphTest, NeighborLabelCounts) {
   EXPECT_EQ(g.NeighborLabelCount(0, 2), 2u);  // two C neighbors
   EXPECT_EQ(g.NeighborLabelCount(0, 1), 1u);  // one B neighbor
   EXPECT_EQ(g.NeighborLabelCount(0, 4), 0u);  // no E neighbor
-  EXPECT_EQ(g.NeighborLabelKinds(0), 2u);
+  EXPECT_EQ(g.NeighborLabelCounts(0).size(), 2u);
+  EXPECT_EQ(g.NeighborLabelMask(0), (uint64_t{1} << 1) | (uint64_t{1} << 2));
 }
 
 TEST(GraphTest, MaxNeighborDegree) {
@@ -234,6 +235,31 @@ TEST(GraphMultiplicityTest, EffectiveDegreesAndSelfLoops) {
   // NLF under expansion: v0 sees 2 label-0 neighbors and 2 label-1.
   EXPECT_EQ(g.NeighborLabelCount(0, 0), 2u);
   EXPECT_EQ(g.NeighborLabelCount(0, 1), 2u);
+  EXPECT_EQ(g.NeighborLabelMask(0), 0b11u);
+  EXPECT_EQ(g.NeighborLabelMask(1), 0b01u);
+}
+
+TEST(GraphMultiplicityTest, SingletonSelfLoopKeepsZeroCountNlfEntry) {
+  // v0 carries a self-loop at multiplicity 1 and one neighbor labeled 65:
+  // NLF keeps one entry per label run, so the self-loop's run stays as a
+  // zero count, and only the non-zero entry sets a mask bit (65 & 63 = 1).
+  GraphBuilder b(2);
+  b.AllowSelfLoops();
+  b.SetLabel(0, 0);
+  b.SetLabel(1, 65);
+  b.AddEdge(0, 0);
+  b.AddEdge(0, 1);
+  Graph g = std::move(b).Build();
+
+  ASSERT_EQ(g.NeighborLabelCounts(0).size(), 2u);
+  EXPECT_EQ(g.NeighborLabelCounts(0)[0].label, 0u);
+  EXPECT_EQ(g.NeighborLabelCounts(0)[0].count, 0u);
+  EXPECT_EQ(g.NeighborLabelCounts(0)[1].label, 65u);
+  EXPECT_EQ(g.NeighborLabelCounts(0)[1].count, 1u);
+  EXPECT_EQ(g.NeighborLabelCount(0, 0), 0u);
+  EXPECT_EQ(g.NeighborLabelMask(0), uint64_t{1} << 1);
+  EXPECT_EQ(g.NeighborLabelMask(1), uint64_t{1});
+  EXPECT_EQ(g.degree(0), 1u);
 }
 
 TEST(GraphStatsTest, ComputeStats) {

@@ -1010,14 +1010,15 @@ TEST(QueryServerTest, ConcurrentQueriesAndUpdatesKeepInvariants) {
 }
 
 TEST(QueryServerTest, ConcurrentUpdatersAllCommit) {
-  // Two UPDATE sessions churn disjoint clusters at once. Each builds its
-  // delta outside the commit lock, so the two race on the same epoch and
-  // the loser replays against the fresh snapshot. Every batch is a
-  // count-preserving swap (A: {ae 0 3, re 1 2} and its inverse; B: as in
-  // the test above), so a reader counting both clusters meanwhile must see
-  // exactly three matching edges in each, every time. Isolated label-4
-  // padding leaves every count alone but makes each matcher rebind and
-  // fold O(|V|) under the commit lock, which widens the race window.
+  // Two UPDATE sessions churn disjoint clusters at once. Each acquires the
+  // snapshot and builds its delta inside the commit lock, so neither can
+  // build on an epoch the other is about to supersede, and every batch
+  // commits first time. Every batch is a count-preserving swap (A:
+  // {ae 0 3, re 1 2} and its inverse; B: as in the test above), so a
+  // reader counting both clusters meanwhile must see exactly three
+  // matching edges in each, every time. Isolated label-4 padding leaves
+  // every count alone but makes each matcher rebind and fold O(|V|) under
+  // the commit lock, so the two sessions really contend for it.
   const Graph clusters = TwoClusterData();
   const VertexId n = clusters.NumVertices();
   GraphBuilder builder(n + 100000);

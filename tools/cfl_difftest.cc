@@ -16,6 +16,7 @@
 // Examples:
 //   cfl_difftest --pairs 200 --seed 1
 //   cfl_difftest --pairs 50 --engines cfl,turboiso --query-vertices 14
+//   cfl_difftest --pairs 100 --all-engines --max-labels 100  # > 64 labels
 //   CFL_VALIDATE=1 cfl_difftest --pairs 200   # also run debug validators
 //
 // Exit codes: 0 all pairs agree; 1 mismatch found; 2 usage error.
@@ -51,6 +52,7 @@ struct Options {
   uint64_t seed = 1;
   uint32_t max_data_vertices = 160;
   uint32_t max_query_vertices = 10;
+  uint32_t max_labels = 8;
   uint64_t max_embeddings = 100'000;
   double time_limit_seconds = 10.0;
   std::vector<std::string> engines = {"cfl", "cfl-par4", "vf2", "quicksi",
@@ -386,6 +388,8 @@ int Usage(const char* argv0) {
       << "  --seed S            base seed; pair i uses seed S+i (1)\n"
       << "  --data-vertices N   max data-graph vertices (160)\n"
       << "  --query-vertices N  max query vertices (10)\n"
+      << "  --max-labels N      max data-graph labels, >= 2 (8); above 64,\n"
+      << "                      neighbor-label mask bits alias\n"
       << "  --max-embeddings M  per-pair embedding cap (100000)\n"
       << "  --time-limit SEC    per-engine time limit (10)\n"
       << "  --engines LIST      comma list of: cfl cfl-par2 cfl-par4 cfl-td\n"
@@ -411,7 +415,8 @@ int Run(const Options& opt) {
     data_opt.num_vertices = static_cast<uint32_t>(
         rng.Between(16, std::max<uint32_t>(17, opt.max_data_vertices)));
     data_opt.average_degree = 2.0 + rng.NextDouble() * 4.0;
-    data_opt.num_labels = static_cast<uint32_t>(rng.Between(2, 8));
+    data_opt.num_labels =
+        static_cast<uint32_t>(rng.Between(2, opt.max_labels));
     data_opt.label_exponent = 0.5 + rng.NextDouble() * 1.5;
     data_opt.seed = pair_seed;
     Graph data = MakeSynthetic(data_opt);
@@ -527,6 +532,8 @@ int main(int argc, char** argv) {
       opt.max_data_vertices = static_cast<uint32_t>(std::stoul(next()));
     } else if (arg == "--query-vertices") {
       opt.max_query_vertices = static_cast<uint32_t>(std::stoul(next()));
+    } else if (arg == "--max-labels") {
+      opt.max_labels = static_cast<uint32_t>(std::stoul(next()));
     } else if (arg == "--max-embeddings") {
       opt.max_embeddings = std::stoull(next());
     } else if (arg == "--time-limit") {
@@ -546,6 +553,10 @@ int main(int argc, char** argv) {
       std::cerr << "unknown option: " << arg << "\n";
       return cfl::Usage(argv[0]);
     }
+  }
+  if (opt.max_labels < 2) {
+    std::cerr << "--max-labels must be at least 2\n";
+    return cfl::Usage(argv[0]);
   }
   if (opt.engines.size() < 2 && opt.brute_force == false) {
     std::cerr << "need at least two engines (or brute force) to compare\n";
