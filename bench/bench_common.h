@@ -25,7 +25,6 @@
 #include "gen/synthetic.h"
 #include "graph/graph.h"
 #include "graph/graph_stats.h"
-#include "kernels/kernels.h"
 #include "harness/env.h"
 #include "harness/runner.h"
 #include "harness/table.h"
@@ -136,8 +135,7 @@ inline Graph MakeBenchGraph(const std::string& dataset, const Config& c) {
 // Appends one JSON object (one line) describing a measured query-set result
 // to the CFL_BENCH_JSON file, if that knob is set. The schema is flat on
 // purpose so downstream tooling can `jq`/pandas it without schema files:
-//   {"artifact":..., "dataset":..., "set":..., "engine":..., "isa":...,
-//    "scale":...,
+//   {"artifact":..., "dataset":..., "set":..., "engine":..., "scale":...,
 //    "threads":..., "queries_run":..., "inf":..., "avg_total_ms":...,
 //    "avg_order_ms":..., "avg_enum_ms":..., "avg_index_entries":...,
 //    "total_embeddings":...,
@@ -161,7 +159,6 @@ inline void AppendJsonResult(const std::string& artifact,
   }
   out << "{\"artifact\":\"" << artifact << "\",\"dataset\":\"" << dataset
       << "\",\"set\":\"" << set << "\",\"engine\":\"" << engine
-      << "\",\"isa\":\"" << kernels::IsaName(kernels::ActiveIsa())
       << "\",\"scale\":" << c.scale << ",\"threads\":" << c.threads
       << ",\"queries_run\":" << r.queries_run
       << ",\"inf\":" << (r.IsInf() ? "true" : "false")

@@ -25,7 +25,6 @@
 #include "gen/synthetic.h"
 #include "graph/graph_builder.h"
 #include "harness/env.h"
-#include "kernels/kernels.h"
 #include "match/cfl_match.h"
 #include "order/matching_order.h"
 
@@ -220,60 +219,6 @@ void BM_EnumerateHubHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateHubHeavy)->Arg(8)->Arg(12);
 
-// ---- kernel-layer micro-benchmarks ---------------------------------------
-//
-// Sweeps over the dispatch layer's primitive, in two flavors: `.../0` pins
-// the scalar reference, `.../1` runs whatever the startup dispatch selected
-// (AVX2 on x86-64 unless CFL_FORCE_SCALAR). The ratio between the two rows
-// is the kernel speedup on the machine at hand.
-
-// Args: {num_backward_edges, pass_biased, use_dispatch}. All-hub plans
-// over the hub-heavy graph — the batched word-AND pass against per-edge
-// probing. pass_biased=0 probes random vertices (most fail the first
-// edge, the early-exit regime); pass_biased=1 probes the hubs' common
-// neighborhood (most candidates survive every edge — the regime CPI
-// filtering puts the enumerator in, where early exit never helps and
-// batching pays off).
-void BM_VerifyBackward(benchmark::State& state) {
-  const Graph& g = HubHeavyData();
-  const uint32_t nedges = static_cast<uint32_t>(state.range(0));
-  const bool pass_biased = state.range(1) != 0;
-  const bool dispatched = state.range(2) != 0;
-  kernels::BackwardPlan plan;
-  for (uint32_t k = 0; k < nedges; ++k) plan.Add(g, k % 32);
-  std::mt19937 rng(44);
-  std::uniform_int_distribution<uint32_t> pick(0, g.NumVertices() - 1);
-  std::vector<VertexId> probes(1 << 12);
-  for (VertexId& v : probes) {
-    // Every hub in HubHeavyData is adjacent to every vertex 32 + 4k.
-    v = pass_biased ? 32 + (pick(rng) % ((g.NumVertices() - 32) / 4)) * 4
-                    : pick(rng);
-  }
-  for (auto _ : state) {
-    uint64_t passed = 0;
-    for (VertexId v : probes) {
-      const uint32_t fail =
-          dispatched ? kernels::VerifyBackwardEdges(g, plan, v)
-                     : kernels::scalar::VerifyBackwardEdges(g, plan, v);
-      passed += fail == nedges ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(passed);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(probes.size()));
-}
-BENCHMARK(BM_VerifyBackward)
-    ->Args({2, 1, 0})
-    ->Args({2, 1, 1})
-    ->Args({4, 0, 0})
-    ->Args({4, 0, 1})
-    ->Args({4, 1, 0})
-    ->Args({4, 1, 1})
-    ->Args({8, 0, 0})
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1});
-
 // Console reporter that additionally appends one JSON line per finished
 // benchmark to CFL_BENCH_JSON — the same flat-schema JSON-lines file the
 // figure benches append to. (A display-reporter wrapper rather than a
@@ -288,8 +233,7 @@ class JsonlTeeReporter : public benchmark::ConsoleReporter {
     if (!out_.good()) return;
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
-      out_ << "{\"artifact\":\"micro\",\"isa\":\""
-           << kernels::IsaName(kernels::ActiveIsa()) << "\",\"name\":\""
+      out_ << "{\"artifact\":\"micro\",\"name\":\""
            << run.benchmark_name()
            << "\",\"real_time\":" << run.GetAdjustedRealTime()
            << ",\"cpu_time\":" << run.GetAdjustedCPUTime()

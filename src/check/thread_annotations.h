@@ -110,7 +110,8 @@
 //   flag    — stop/cancel signal with no data dependence; relaxed ops, or
 //             store(release)/load(acquire) when it hands off anything.
 //   publish — pointer/value publication; store(release), load(acquire),
-//             RMW acq_rel (e.g. the kernels.h dispatch-table pointer).
+//             RMW acq_rel (e.g. a pointer to a table built once, then read
+//             lock-free).
 //
 // Defaulted (seq_cst) orderings are rejected as undeclared intent: if the
 // code does not say what it needs, the analyzer cannot check it and the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "kernels/kernels.h"
-
 namespace cfl {
 
 bool CandVerify(const Graph& q, VertexId u, const Graph& data, VertexId v) {
@@ -22,15 +20,8 @@ uint64_t CountVerifiedCandidates(const Graph& q, VertexId u,
                                  const Graph& data) {
   const std::span<const VertexId> vs = data.VerticesWithLabel(q.label(u));
   const uint32_t min_degree = q.StructuralDegree(u);
-  const bool prefetch = kernels::PrefetchEnabled();
   uint64_t count = 0;
-  for (size_t i = 0; i < vs.size(); ++i) {
-    if (prefetch && i + 1 < vs.size()) {
-      const std::span<const Graph::LabelCount> next =
-          data.NeighborLabelCounts(vs[i + 1]);
-      kernels::PrefetchSpan(next.data(), next.size_bytes());
-    }
-    const VertexId v = vs[i];
+  for (const VertexId v : vs) {
     if (data.degree(v) >= min_degree && CandVerify(q, u, data, v)) ++count;
   }
   return count;

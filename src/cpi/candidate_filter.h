@@ -34,9 +34,7 @@ namespace cfl {
 bool CandVerify(const Graph& q, VertexId u, const Graph& data, VertexId v);
 
 // Number of data vertices passing all four filters for u — the accurate
-// score root selection (A.6) uses for its shortlist. Streams the label's
-// vertex list with one-ahead NLF-run prefetch (kernels/kernels.h): each
-// vertex's verification hides the next one's index loads.
+// score root selection (A.6) uses for its shortlist.
 uint64_t CountVerifiedCandidates(const Graph& q, VertexId u,
                                  const Graph& data);
 

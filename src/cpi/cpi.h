@@ -48,7 +48,6 @@
 #include "check/thread_annotations.h"
 #include "decomp/bfs_tree.h"
 #include "graph/graph.h"
-#include "kernels/kernels.h"
 
 namespace cfl {
 
@@ -84,35 +83,6 @@ class Cpi {
     const uint32_t* off = adj_off_arena_.data() + adj_off_start_[u];
     const uint32_t* base = adj_entry_arena_.data() + adj_entry_start_[u];
     return {base + off[parent_pos], base + off[parent_pos + 1]};
-  }
-
-  // Prefetch hints for the enumeration descent (kernels/kernels.h). Pure
-  // hints — no state is read beyond address arithmetic, no state is written
-  // — so they keep the immutability contract. Call sites gate on
-  // kernels::PrefetchEnabled() && PrefetchWorthwhile().
-
-  // True when the CPI arenas are large enough that descent touches can
-  // actually miss cache. Small CPIs are fully cache-resident after the
-  // first few descents, where the extra prefetch instructions per
-  // candidate are measurable pure overhead (~5% on a 20k-vertex graph).
-  bool PrefetchWorthwhile() const {
-    constexpr size_t kMinArenaBytes = 4u << 20;
-    return (cand_arena_.size() * sizeof(VertexId) +
-            adj_entry_arena_.size() * sizeof(uint32_t)) >= kMinArenaBytes;
-  }
-
-  // Touch the candidate-arena entry at `pos` of u.C ahead of CandidateAt.
-  void PrefetchCandidate(VertexId u, uint32_t pos) const {
-    kernels::PrefetchSpan(cand_arena_.data() + cand_offsets_[u] + pos,
-                          sizeof(VertexId));
-  }
-
-  // Touch the adjacency-offset pair of (u, parent_pos) ahead of the
-  // AdjacentPositions call the next descent into u performs.
-  void PrefetchAdjacency(VertexId u, uint32_t parent_pos) const {
-    kernels::PrefetchSpan(
-        adj_off_arena_.data() + adj_off_start_[u] + parent_pos,
-        2 * sizeof(uint32_t));
   }
 
   // True iff some query vertex has an empty candidate set, in which case the

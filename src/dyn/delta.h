@@ -1,6 +1,6 @@
 // One batch of mutations against an immutable base `Graph`.
 //
-// The engine is immutable-per-epoch (DESIGN.md §13): nothing ever mutates a
+// The engine is immutable-per-epoch (DESIGN.md §12): nothing ever mutates a
 // built Graph in place. Instead a `GraphDelta` records edge/vertex
 // insertions and deletions relative to one specific base snapshot,
 // validates them eagerly (duplicate edge, missing edge, dead vertex — the
@@ -48,7 +48,7 @@ namespace cfl::dyn {
 // cached plan whose query labels are disjoint from this set has a
 // bit-identical embedding set before and after the delta (no edge between
 // two unchanged-label vertices can have changed without touching them), so
-// the plan cache drops exactly the intersecting entries (DESIGN.md §13).
+// the plan cache drops exactly the intersecting entries (DESIGN.md §12).
 struct DirtyLabels {
   std::vector<Label> labels;  // sorted, deduped
 

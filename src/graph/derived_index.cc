@@ -67,14 +67,24 @@ std::vector<uint8_t> Graph::DeriveIndexes(const Graph* base,
   nlf_.reserve(run_offsets_[n]);
   nlf_mask_.resize(n);
   effective_degree_.resize(n);
-  for (uint32_t v = 0; v < n; ++v) {
+  for (uint32_t v = 0; v < n;) {
     if (!fresh[v]) {
-      std::span<const LabelRun> runs = base->AdjacencyLabelRuns(v);
-      runs_.insert(runs_.end(), runs.begin(), runs.end());
-      std::span<const LabelCount> nlf = base->NeighborLabelCounts(v);
-      nlf_.insert(nlf_.end(), nlf.begin(), nlf.end());
-      nlf_mask_[v] = base->nlf_mask_[v];
-      effective_degree_[v] = base->effective_degree_[v];
+      // A maximal untouched id range [v, end) is one contiguous slice of
+      // each base array (run offsets are list-relative), copied whole.
+      uint32_t end = v + 1;
+      while (end < n && !fresh[end]) ++end;
+      const LabelRun* runs_from = base->runs_.data() + base->run_offsets_[v];
+      const LabelRun* runs_to = base->runs_.data() + base->run_offsets_[end];
+      runs_.insert(runs_.end(), runs_from, runs_to);
+      const LabelCount* nlf_from = base->nlf_.data() + base->run_offsets_[v];
+      const LabelCount* nlf_to = base->nlf_.data() + base->run_offsets_[end];
+      nlf_.insert(nlf_.end(), nlf_from, nlf_to);
+      std::copy(base->nlf_mask_.data() + v, base->nlf_mask_.data() + end,
+                nlf_mask_.data() + v);
+      std::copy(base->effective_degree_.data() + v,
+                base->effective_degree_.data() + end,
+                effective_degree_.data() + v);
+      v = end;
     } else {
       std::span<const VertexId> adj = Neighbors(v);
       uint32_t degree = 0;
@@ -92,6 +102,7 @@ std::vector<uint8_t> Graph::DeriveIndexes(const Graph* base,
       }
       nlf_mask_[v] = mask;
       effective_degree_[v] = degree;
+      ++v;
     }
   }
 

@@ -232,8 +232,9 @@ class Graph {
 
   // Base of hub v's bitset row — NumVertices() bits in 64-bit words indexed
   // by neighbor id — or nullptr when v is not a hub (or the index is
-  // absent). The kernel layer (kernels/kernels.h) resolves rows once per
-  // enumeration descent so backward-edge probes skip the hub_index_ lookup.
+  // absent). The enumerator's BackwardPlan (match/enumerator.h) resolves
+  // rows once per descent so backward-edge probes skip the hub_index_
+  // lookup.
   const uint64_t* HubRowWords(VertexId v) const {
     if (hub_bits_.empty()) return nullptr;
     const uint32_t row = hub_index_[v];

@@ -24,7 +24,6 @@
 #include "check/narrow.h"
 #include "cpi/cpi.h"
 #include "graph/graph.h"
-#include "kernels/kernels.h"
 #include "match/embedding.h"
 #include "order/matching_order.h"
 
@@ -37,6 +36,41 @@ namespace cfl {
 inline uint32_t CheckedCandidateCount(size_t size) {
   return CheckedU32(size);
 }
+
+// One step's backward non-tree edges, resolved against the current partial
+// mapping: per edge the mapped data vertex and, when that vertex is a hub,
+// the base of its bitmap row (graph.h; nullptr otherwise). The shallower
+// bindings are fixed for a depth's whole candidate sweep, so the enumerator
+// rebuilds a depth's plan once per descent; per candidate the check is then
+// one bit-test or HasEdge per edge with no hub-index or mapping loads.
+struct BackwardPlan {
+  struct Edge {
+    const uint64_t* row;  // hub bitmap row of `mapped`, or nullptr
+    VertexId mapped;      // M(w) for backward endpoint w
+  };
+  std::vector<Edge> edges;
+
+  void Reset() { edges.clear(); }
+  void Add(const Graph& data, VertexId mapped) {
+    edges.push_back({data.HubRowWords(mapped), mapped});
+  }
+
+  // Probes candidate `v` against every mapped endpoint in plan order and
+  // returns the index of the first non-adjacent one, or edges.size() when
+  // all pass. Callers derive both the accept/reject decision and the exact
+  // probe count (stats) from it.
+  uint32_t FirstFailure(const Graph& data, VertexId v) const {
+    const size_t n = edges.size();
+    for (size_t k = 0; k < n; ++k) {
+      const Edge& e = edges[k];
+      const bool adjacent = e.row != nullptr
+                                ? ((e.row[v >> 6] >> (v & 63)) & 1u) != 0
+                                : data.HasEdge(e.mapped, v);
+      if (!adjacent) return static_cast<uint32_t>(k);
+    }
+    return static_cast<uint32_t>(n);
+  }
+};
 
 enum class EnumerateStatus {
   kDone,      // search space exhausted
@@ -88,20 +122,15 @@ EnumerateStatus EnumeratePartial(
   // Per-depth cursor into the candidate source.
   std::vector<uint32_t> cursor(depth_count, 0);
 
-  // Backward-edge plans (kernels/kernels.h): the shallower bindings are
-  // fixed for a depth's whole candidate sweep, so the mapped endpoints and
-  // their hub bitmap rows are resolved once per descent; per candidate the
-  // verification is then a batched bit-test pass with no hub-index or
-  // mapping loads. Rebuilt exactly where hub_prefix is.
-  std::vector<kernels::BackwardPlan> plans(depth_count);
+  // Backward-edge plans, one per depth; rebuilt exactly where hub_prefix
+  // is.
+  std::vector<BackwardPlan> plans(depth_count);
   auto rebuild_plan = [&](size_t d) {
-    kernels::BackwardPlan& plan = plans[d];
+    BackwardPlan& plan = plans[d];
     plan.Reset();
     for (VertexId w : steps[d].backward) plan.Add(data, state.mapping[w]);
   };
   rebuild_plan(0);
-  const bool prefetch =
-      kernels::PrefetchEnabled() && cpi.PrefetchWorthwhile();
 
   // Stats builds classify each backward probe as hub-answered or not
   // (HasEdge is O(1) when either endpoint is a hub). Doing that inside the
@@ -163,24 +192,15 @@ EnumerateStatus EnumeratePartial(
       uint32_t pos = is_root ? cursor[depth] : adjacent[cursor[depth]];
       ++cursor[depth];
       ++state.candidates_tried;
-      // Touch the next candidate-arena entry while this one is verified;
-      // the lookahead hides the dependent load the next iteration starts
-      // with. Bounded to one position — deeper lookahead would prefetch
-      // past rejects.
-      if (prefetch && cursor[depth] < limit) {
-        cpi.PrefetchCandidate(
-            step.u, is_root ? cursor[depth] : adjacent[cursor[depth]]);
-      }
       VertexId v = cpi.CandidateAt(step.u, pos);
       if (state.used[v] >= data.multiplicity(v)) {
         CFL_STATS_ONLY(++state.stats.conflict_rejects;)
         continue;
       }
-      // Backward non-tree edges (Theorem 4.1), batched against the plan.
-      // The first-fail index reproduces the scalar loop's probe count
-      // exactly: fail index + 1 probes on a reject, all of them on a pass.
+      // Backward non-tree edges (Theorem 4.1), one probe each against the
+      // plan: fail index + 1 probes on a reject, all of them on a pass.
       const uint32_t nback = CheckedU32(plans[depth].edges.size());
-      const uint32_t fail = kernels::VerifyBackwardEdges(data, plans[depth], v);
+      const uint32_t fail = plans[depth].FirstFailure(data, v);
       const bool ok = fail == nback;
       CFL_STATS_ONLY(const uint32_t probed = ok ? nback : fail + 1;)
       // Probe accounting once per candidate: the prefix table counts the
@@ -236,12 +256,6 @@ EnumerateStatus EnumeratePartial(
     cursor[depth] = 0;
     rebuild_plan(depth);
     CFL_STATS_ONLY(rebuild_hub_prefix(depth);)
-    // Touch the adjacency-offset pair the next iteration dereferences for
-    // the freshly entered step while the plan/prefix rebuilds retire.
-    if (prefetch && steps[depth].parent != kInvalidVertex) {
-      cpi.PrefetchAdjacency(steps[depth].u,
-                            state.position[steps[depth].parent]);
-    }
   }
 }
 

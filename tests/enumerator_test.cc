@@ -1,8 +1,14 @@
 // Direct tests of the CPI-based backtracking enumerator (Algorithm 5):
 // state cleanliness across outcomes, backward-edge enforcement, capacity
-// semantics, and visitor-visible invariants.
+// semantics, visitor-visible invariants, and the BackwardPlan check against
+// a per-edge HasEdge reference.
 
 #include "match/enumerator.h"
+
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +135,102 @@ TEST(EnumeratorTest, CapacitySemantics) {
     });
     EXPECT_EQ(matches, capacity == 2 ? 1u : 0u) << "capacity " << capacity;
   }
+}
+
+// ---- backward-edge check ---------------------------------------------------
+
+// A graph with both hub and non-hub vertices: vertices 0..3 connect to most
+// of the 96 tail vertices (structural degree >= 64 => hubs), the tail
+// vertices keep degree <= 4 (non-hubs).
+Graph HubMixData() {
+  constexpr uint32_t kTail = 96;
+  GraphBuilder b(4 + kTail);
+  for (uint32_t v = 0; v < 4 + kTail; ++v) b.SetLabel(v, 0);
+  for (uint32_t h = 0; h < 4; ++h) {
+    for (uint32_t t = 0; t < kTail; ++t) {
+      // Each hub skips a different residue class so rows differ.
+      if (t % 7 == h) continue;
+      b.AddEdge(h, 4 + t);
+    }
+  }
+  return std::move(b).Build();
+}
+
+TEST(BackwardPlanTest, MatchesPerEdgeHasEdgeOnHubAndNonHubMixes) {
+  Graph g = HubMixData();
+  ASSERT_TRUE(g.HasHubIndex());
+  ASSERT_TRUE(g.IsHub(0));
+  ASSERT_FALSE(g.IsHub(4));
+
+  std::mt19937 rng(97);
+  std::uniform_int_distribution<uint32_t> pick(0, g.NumVertices() - 1);
+  for (int trial = 0; trial < 2000; ++trial) {
+    BackwardPlan plan;
+    const uint32_t n = 1 + trial % 7;
+    std::vector<VertexId> mapped;
+    for (uint32_t k = 0; k < n; ++k) {
+      VertexId w = pick(rng);
+      // Bias toward hubs so all-hub plans are common.
+      if (trial % 3 != 0) w %= 4;
+      plan.Add(g, w);
+      mapped.push_back(w);
+    }
+    const VertexId v = pick(rng);
+
+    // Reference: first failing per-edge HasEdge probe, or n if all pass.
+    uint32_t want = n;
+    for (uint32_t k = 0; k < n; ++k) {
+      if (!g.HasEdge(mapped[k], v)) {
+        want = k;
+        break;
+      }
+    }
+    EXPECT_EQ(plan.FirstFailure(g, v), want)
+        << "trial " << trial << " v=" << v;
+  }
+}
+
+TEST(BackwardPlanTest, PlanTracksHubRows) {
+  Graph g = HubMixData();
+  BackwardPlan plan;
+  plan.Add(g, 0);
+  plan.Add(g, 1);
+  EXPECT_NE(plan.edges[0].row, nullptr);
+  EXPECT_NE(plan.edges[1].row, nullptr);
+  plan.Add(g, 5);  // tail vertex: not a hub
+  EXPECT_EQ(plan.edges[2].row, nullptr);
+  EXPECT_EQ(plan.edges[2].mapped, 5u);
+  plan.Reset();
+  EXPECT_TRUE(plan.edges.empty());
+}
+
+TEST(BackwardPlanTest, EmptyPlanAlwaysPasses) {
+  Graph g = HubMixData();
+  BackwardPlan plan;
+  EXPECT_EQ(plan.FirstFailure(g, 0), 0u);
+  EXPECT_EQ(plan.FirstFailure(g, 7), 0u);
+}
+
+TEST(BackwardPlanTest, WorksWithoutHubIndex) {
+  // Every degree is below the hub threshold, so the graph has no hub
+  // index: every plan edge falls back to HasEdge.
+  GraphBuilder b(6);
+  for (uint32_t v = 0; v < 6; ++v) b.SetLabel(v, 0);
+  b.AddEdge(0, 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 2);
+  Graph g = std::move(b).Build();
+  ASSERT_FALSE(g.HasHubIndex());
+  BackwardPlan plan;
+  plan.Add(g, 0);
+  plan.Add(g, 1);
+  EXPECT_EQ(plan.edges[0].row, nullptr);
+  EXPECT_EQ(plan.FirstFailure(g, 2), 2u);
+  EXPECT_EQ(plan.FirstFailure(g, 3), 0u);
+  plan.Reset();
+  plan.Add(g, 2);
+  plan.Add(g, 3);  // v=0: edge (2,0) holds, (3,0) doesn't -> first fail 1
+  EXPECT_EQ(plan.FirstFailure(g, 0), 1u);
 }
 
 }  // namespace

@@ -105,19 +105,6 @@ TEST(CflLintTest, RawClockFiresOnTypeAndNowCall) {
   EXPECT_EQ(CountOccurrences(run.output, "[raw-clock]"), 2) << run.output;
 }
 
-TEST(CflLintTest, RawSimdFiresOnIncludeAndIntrinsics) {
-  LintRun run = RunLint(Fixture("bad_simd.cc"));
-  EXPECT_EQ(run.exit_code, 1) << run.output;
-  // One for <immintrin.h>, one per intrinsic-bearing line.
-  EXPECT_EQ(CountOccurrences(run.output, "[raw-simd]"), 3) << run.output;
-}
-
-TEST(CflLintTest, RawSimdAllowedInsideKernelsTree) {
-  LintRun run = RunLint(Fixture("simd_tree/src/kernels/ok_simd.cc"));
-  EXPECT_EQ(run.exit_code, 0) << run.output;
-  EXPECT_EQ(run.output.find("error:"), std::string::npos) << run.output;
-}
-
 TEST(CflLintTest, WellFormedAllowSuppresses) {
   LintRun run = RunLint(Fixture("good_allow.cc"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
@@ -136,12 +123,11 @@ TEST(CflLintTest, AllBadFixturesTogetherReportEveryRule) {
                         Fixture("bad_mutable.h") + " " +
                         Fixture("bad_allow.cc") + " " +
                         Fixture("bad_immutable.h") + " " +
-                        Fixture("bad_clock.cc") + " " +
-                        Fixture("bad_simd.cc"));
+                        Fixture("bad_clock.cc"));
   EXPECT_EQ(run.exit_code, 1) << run.output;
   for (const char* rule :
        {"[raw-assert]", "[raw-mutex]", "[mutable-member]", "[bad-allow]",
-        "[immutable-class]", "[raw-clock]", "[raw-simd]"}) {
+        "[immutable-class]", "[raw-clock]"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos)
         << "missing " << rule << " in:\n"
         << run.output;

@@ -66,9 +66,10 @@
 //                    load/store/fetch_*/exchange use site must spell its
 //                    memory_order explicitly and the order must match the
 //                    declared intent (counter -> relaxed; publish ->
-//                    release store + acquire load, e.g. the kernels.h
-//                    dispatch pointer). A defaulted (seq_cst) order is an
-//                    undeclared intent, not a safe harbor.
+//                    release store + acquire load, e.g. a pointer to a
+//                    table built once and then read lock-free). A
+//                    defaulted (seq_cst) order is an undeclared intent,
+//                    not a safe harbor.
 //
 // Escape hatch: the same `allow(<rule>) <reason>` directive cfl_lint uses
 // (either directive tag works — the analyzer's own rules conventionally use
@@ -164,21 +165,21 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
       {"check", {}},
       {"obs", {}},
       {"graph", {}},
-      // The SIMD kernel layer sits directly above graph: it needs the hub
-      // bitmap rows (VerifyBackwardEdges) and nothing else.
-      {"kernels", {"graph"}},
+      // The benchmark's ISA-name shim (kernels/kernels.h): it includes
+      // nothing, and no module may include it.
+      {"kernels", {}},
       {"gen", {"graph"}},
       {"decomp", {"graph"}},
-      {"cpi", {"graph", "kernels", "decomp"}},
-      {"order", {"graph", "kernels", "decomp", "cpi"}},
-      {"validate", {"graph", "kernels", "decomp", "cpi", "order"}},
-      {"match", {"graph", "kernels", "decomp", "cpi", "order", "validate"}},
+      {"cpi", {"graph", "decomp"}},
+      {"order", {"graph", "decomp", "cpi"}},
+      {"validate", {"graph", "decomp", "cpi", "order"}},
+      {"match", {"graph", "decomp", "cpi", "order", "validate"}},
       {"baseline",
-       {"graph", "kernels", "decomp", "cpi", "order", "validate", "match"}},
+       {"graph", "decomp", "cpi", "order", "validate", "match"}},
       {"parallel",
-       {"graph", "kernels", "decomp", "cpi", "order", "validate", "match"}},
+       {"graph", "decomp", "cpi", "order", "validate", "match"}},
       {"harness",
-       {"graph", "kernels", "decomp", "cpi", "order", "validate", "match"}},
+       {"graph", "decomp", "cpi", "order", "validate", "match"}},
       // Dynamic graphs sit beside the engines: deltas, folds and epoch
       // snapshots need only the CSR graph and its builder.
       {"dyn", {"graph"}},
@@ -186,7 +187,7 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
       // (counting and streaming) over the shared task pool, and owns the
       // epoch-versioned data graph.
       {"serve",
-       {"graph", "kernels", "decomp", "cpi", "order", "validate", "match",
+       {"graph", "decomp", "cpi", "order", "validate", "match",
         "parallel", "dyn"}},
   };
   return table;
@@ -450,7 +451,7 @@ void CheckLayering(const std::vector<AnalyzedFile>& files,
            known ? ("module '" + af.module + "' must not include '" +
                     inc.path + "' (module '" + dep +
                     "') — layering back-edge; the DAG is check < obs < "
-                    "graph < {kernels,gen,decomp} < cpi < order < validate < match "
+                    "graph < {gen,decomp} < cpi < order < validate < match "
                     "< {baseline,parallel,harness}")
                  : ("module '" + af.module +
                     "' is not in the layering DAG — add it to AllowedDeps() "

@@ -37,11 +37,6 @@
 //                    wall-clock reads go through the cfl::obs facade
 //                    (src/obs/clock.h) so every timer is reconcilable with
 //                    the MatchStats phase accounting.
-//   raw-simd         vendor-intrinsic headers (immintrin.h and family) or
-//                    intrinsic-shaped identifiers (the _mm*/__m* families)
-//                    outside src/kernels/ — SIMD lives behind the dispatch
-//                    layer (kernels/kernels.h) so engine code never grows
-//                    an ISA dependency unreviewed.
 //   bad-allow        a malformed escape hatch: unknown rule id or missing
 //                    reason. Allow-comments must carry their justification.
 //
@@ -63,9 +58,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lint_common.h"
@@ -96,7 +89,6 @@ using cfl::lint::kMutableMember;
 using cfl::lint::kRawAssert;
 using cfl::lint::kRawClock;
 using cfl::lint::kRawMutex;
-using cfl::lint::kRawSimd;
 
 // Scans one marked class body for contract violations.
 void CheckMarkedClass(const SourceFile& f, const std::vector<Token>& toks,
@@ -254,8 +246,6 @@ void LintFile(const std::string& display_path, const fs::path& file,
   // (obs/clock.h) and the pre-existing harness stopwatch.
   const bool clock_exempt =
       PathContains(f, "src/obs/") || PathContains(f, "src/harness/");
-  // The one sanctioned home for vendor intrinsics (kernels/kernels.h).
-  const bool in_kernels = PathContains(f, "src/kernels/");
 
   static const std::vector<std::string> kMutexNames = {
       "mutex",           "recursive_mutex",
@@ -327,67 +317,6 @@ void LintFile(const std::string& display_path, const fs::path& file,
              "(src/obs/clock.h) or the harness Stopwatch so phase accounting "
              "stays reconcilable with MatchStats"});
       }
-    }
-
-    if (!in_kernels) {
-      // raw-simd: intrinsic-shaped identifiers (_mm*/__m* families). One
-      // diagnostic per line keeps counts stable when a single expression
-      // holds several intrinsics.
-      static const std::vector<std::string> kSimdPrefixes = {
-          "_mm_", "_mm256_", "_mm512_", "__m128", "__m256", "__m512"};
-      size_t simd_col = std::string::npos;
-      for (size_t at = 0; at < line.size() && simd_col == std::string::npos;) {
-        if (!IsIdentChar(line[at]) ||
-            (at > 0 && IsIdentChar(line[at - 1]))) {
-          ++at;
-          continue;
-        }
-        size_t end = at;
-        while (end < line.size() && IsIdentChar(line[end])) ++end;
-        const std::string_view word(line.data() + at, end - at);
-        for (const std::string& prefix : kSimdPrefixes) {
-          if (word.substr(0, prefix.size()) == prefix) {
-            simd_col = at;
-            break;
-          }
-        }
-        at = end;
-      }
-      if (simd_col != std::string::npos && !Allowed(f, kRawSimd, line_no)) {
-        diags.push_back(
-            {f.path, line_no, static_cast<int>(simd_col + 1), kRawSimd,
-             "raw SIMD intrinsic outside src/kernels/ — engine code goes "
-             "through the dispatch layer (kernels/kernels.h)"});
-      }
-    }
-  }
-
-  // raw-simd: vendor-intrinsic headers confined to src/kernels/.
-  if (!in_kernels) {
-    static const std::set<std::string> kSimdHeaders = {
-        "immintrin.h", "x86intrin.h",  "mmintrin.h",  "xmmintrin.h",
-        "emmintrin.h", "pmmintrin.h",  "tmmintrin.h", "smmintrin.h",
-        "nmmintrin.h", "wmmintrin.h",  "ammintrin.h", "avxintrin.h",
-        "avx2intrin.h"};
-    for (size_t li = 0; li < f.raw_lines.size(); ++li) {
-      if (!f.preproc[li]) continue;
-      const std::string& line = f.raw_lines[li];
-      size_t hash = line.find('#');
-      if (hash == std::string::npos) continue;
-      size_t inc = line.find("include", hash);
-      if (inc == std::string::npos) continue;
-      size_t open = line.find_first_of("<\"", inc);
-      if (open == std::string::npos) continue;
-      size_t close = line.find_first_of(">\"", open + 1);
-      if (close == std::string::npos) continue;
-      std::string header = line.substr(open + 1, close - open - 1);
-      if (kSimdHeaders.count(header) == 0) continue;
-      const int line_no = static_cast<int>(li + 1);
-      if (Allowed(f, kRawSimd, line_no)) continue;
-      diags.push_back({f.path, line_no, static_cast<int>(hash + 1), kRawSimd,
-                       "#include <" + header +
-                           "> outside src/kernels/ — vendor intrinsics are "
-                           "confined to the kernel layer"});
     }
   }
 

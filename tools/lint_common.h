@@ -46,7 +46,6 @@ inline const char kImmutableClass[] = "immutable-class";
 inline const char kConstCast[] = "const-cast";
 inline const char kBannedInclude[] = "banned-include";
 inline const char kRawClock[] = "raw-clock";
-inline const char kRawSimd[] = "raw-simd";
 inline const char kBadAllow[] = "bad-allow";
 
 // cfl_analyze (whole-program rules; see tools/cfl_analyze.cc).
@@ -62,8 +61,7 @@ inline const char kAtomicIntent[] = "atomic-intent";
 inline const std::set<std::string>& LintRules() {
   static const std::set<std::string> rules = {
       kRawAssert, kRawMutex,      kMutableMember, kImmutableClass,
-      kConstCast, kBannedInclude, kRawClock,      kRawSimd,
-      kBadAllow};
+      kConstCast, kBannedInclude, kRawClock,      kBadAllow};
   return rules;
 }
 
