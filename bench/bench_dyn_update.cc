@@ -14,12 +14,12 @@
 //
 // Reported: committed updates/sec and batch-commit latency on the updater
 // side; qps + p50/p95 on the query side for both phases, so the cost of
-// epoch folding, plan-cache invalidation and matcher rebinding shows up as
-// the quiet-vs-churn delta. The final STATS line must account for every
-// batch (updates == B, epoch == B) or the process exits non-zero, so the
-// smoke run doubles as an end-to-end UPDATE liveness check. Results append
-// to CFL_BENCH_JSON as {"artifact":"dyn_update", ...} lines; BENCH_10.json
-// in the repo root is a checked-in snapshot.
+// epoch folding, plan-cache invalidation and re-preparing invalidated
+// plans shows up as the quiet-vs-churn delta. The final STATS line must
+// account for every batch (updates == B, epoch == B) or the process exits
+// non-zero, so the smoke run doubles as an end-to-end UPDATE liveness
+// check. Results append to CFL_BENCH_JSON as {"artifact":"dyn_update", ...}
+// lines.
 //
 //   bench_dyn_update [--dataset=NAME] [--batches=B] [--ops=K] [--clients=C]
 //                    [--workers=W] [--queries=Q] [--query-size=S] [--smoke]
@@ -224,7 +224,6 @@ void AppendJson(const DriverConfig& d, const QueryPhaseResult& quiet,
       << ",\"churn_p95_ms\":" << churn.queries.p95_ms
       << ",\"query_errors\":" << quiet.errors + churn.queries.errors
       << ",\"cache_invalidations\":" << stat("cache_invalidations")
-      << ",\"folds\":" << stat("folds")
       << ",\"final_epoch\":" << stat("epoch") << "}\n";
 }
 
@@ -378,11 +377,9 @@ int main(int argc, char** argv) {
   }
   server_thread.join();
 
-  std::printf("stats: updates=%llu invalidations=%llu folds=%llu "
-              "epoch=%llu\n",
+  std::printf("stats: updates=%llu invalidations=%llu epoch=%llu\n",
               static_cast<unsigned long long>(stats["updates"]),
               static_cast<unsigned long long>(stats["cache_invalidations"]),
-              static_cast<unsigned long long>(stats["folds"]),
               static_cast<unsigned long long>(stats["epoch"]));
   AppendJson(d, quiet, churn, stats);
 

@@ -18,9 +18,8 @@
 //                    [--max=N] [--no-cache] [--compare] [--smoke]
 //
 // --compare runs the same mix twice — plan cache ON then OFF — and prints
-// the qps ratio (the ISSUE 7 acceptance gate is >= 2x). Results append to
-// CFL_BENCH_JSON as {"artifact":"serve_load", ...} lines; BENCH_7.json in
-// the repo root is a checked-in snapshot of a --compare run.
+// the qps ratio (the cache is expected to give >= 2x). Results append to
+// CFL_BENCH_JSON as {"artifact":"serve_load", ...} lines.
 
 #include <unistd.h>
 

@@ -38,6 +38,9 @@ struct GraphTestAccess {
   static std::vector<uint64_t>& LabelFrequency(Graph& g) {
     return g.label_frequency_;
   }
+  static std::vector<uint32_t>& LabelDegrees(Graph& g) {
+    return g.label_degrees_;
+  }
   static std::vector<Graph::LabelCount>& Nlf(Graph& g) { return g.nlf_; }
   static std::vector<uint64_t>& NlfMask(Graph& g) { return g.nlf_mask_; }
   static std::vector<uint32_t>& Mnd(Graph& g) { return g.mnd_; }

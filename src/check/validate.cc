@@ -195,6 +195,13 @@ ValidationResult ValidateGraph(const Graph& g) {
       return Fail("graph: LabelFrequency(", l, ") = ", g.LabelFrequency(l),
                   " but members' multiplicities sum to ", freq);
     }
+    std::vector<uint32_t> degrees;
+    for (VertexId v : vs) degrees.push_back(g.degree(v));
+    std::sort(degrees.begin(), degrees.end());
+    if (!std::ranges::equal(degrees, g.SortedDegreesWithLabel(l))) {
+      return Fail("graph: SortedDegreesWithLabel(", l,
+                  ") is not its members' degrees in ascending order");
+    }
   }
   if (indexed != n) {
     return Fail("graph: label index covers ", indexed, " of ", n,

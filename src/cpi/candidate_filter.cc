@@ -27,22 +27,10 @@ uint64_t CountVerifiedCandidates(const Graph& q, VertexId u,
   return count;
 }
 
-LabelDegreeIndex::LabelDegreeIndex(const Graph& data) {
-  degrees_by_label_.resize(data.NumLabels());
-  for (Label l = 0; l < data.NumLabels(); ++l) {
-    std::span<const VertexId> vs = data.VerticesWithLabel(l);
-    std::vector<uint32_t>& ds = degrees_by_label_[l];
-    ds.reserve(vs.size());
-    for (VertexId v : vs) ds.push_back(data.degree(v));
-    std::sort(ds.begin(), ds.end());
-  }
-}
-
 uint64_t LabelDegreeIndex::CountAtLeast(Label l, uint32_t min_degree) const {
-  if (l >= degrees_by_label_.size()) return 0;
-  const std::vector<uint32_t>& ds = degrees_by_label_[l];
-  auto it = std::lower_bound(ds.begin(), ds.end(), min_degree);
-  return static_cast<uint64_t>(ds.end() - it);
+  const std::span<const uint32_t> ds = data_->SortedDegreesWithLabel(l);
+  return static_cast<uint64_t>(
+      ds.end() - std::lower_bound(ds.begin(), ds.end(), min_degree));
 }
 
 }  // namespace cfl

@@ -16,13 +16,14 @@
 // scanning, and the CPI builder's seeding loop (cpi_builder.cc) also
 // applies 3 there, before a vertex is marked. `LabelDegreeIndex` answers
 // "how many data vertices have label l and degree >= d" in O(log), which
-// root selection (A.6) uses to estimate candidate counts cheaply.
+// root selection (A.6) uses to estimate candidate counts cheaply; it reads
+// the sorted degrees derived with the graph (Graph::SortedDegreesWithLabel),
+// so it costs nothing to build.
 
 #ifndef CFL_CPI_CANDIDATE_FILTER_H_
 #define CFL_CPI_CANDIDATE_FILTER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.h"
 
@@ -45,17 +46,17 @@ inline bool LabelDegreeFilter(const Graph& q, VertexId u, const Graph& data,
          data.degree(v) >= q.StructuralDegree(u);
 }
 
-// Per-label sorted degree lists over a data graph; build once per data
-// graph, reuse across queries.
+// O(1)-to-build view over the data graph's per-label sorted degrees; the
+// graph must outlive it.
 class LabelDegreeIndex {
  public:
-  explicit LabelDegreeIndex(const Graph& data);
+  explicit LabelDegreeIndex(const Graph& data) : data_(&data) {}
 
   // Number of data vertices with label `l` and effective degree >= `min_degree`.
   uint64_t CountAtLeast(Label l, uint32_t min_degree) const;
 
  private:
-  std::vector<std::vector<uint32_t>> degrees_by_label_;  // each sorted asc
+  const Graph* data_;
 };
 
 }  // namespace cfl

@@ -25,27 +25,25 @@ Epoch DynamicGraph::CurrentEpoch() {
 
 std::optional<std::string> DynamicGraph::Apply(
     GraphDelta&& delta, ApplyResult* result,
-    const std::function<void(const DirtyLabels&)>& on_commit) {
+    const std::function<void(Epoch, const DirtyLabels&)>& on_commit) {
   delta.Seal();
+  // Fold outside mu_: the base is an immutable snapshot the caller holds.
+  DirtyLabels dirty;
+  std::shared_ptr<const Graph> next;
+  if (!delta.empty()) {
+    next = std::make_shared<const Graph>(
+        FoldDelta(delta.base(), delta, &dirty));
+  }
   MutexLock lock(mu_);
   if (&delta.base() != current_.get()) {
     return "stale delta: the base snapshot is no longer current "
            "(re-acquire and rebuild the batch)";
   }
-  if (delta.empty()) {
-    if (result != nullptr) {
-      *result = {};
-      result->epoch = epoch_;
-    }
-    return std::nullopt;
+  if (next != nullptr) {
+    current_ = std::move(next);
+    ++epoch_;
+    if (on_commit != nullptr) on_commit(epoch_, dirty);
   }
-  DirtyLabels dirty;
-  current_ = std::make_shared<const Graph>(FoldDelta(*current_, delta, &dirty));
-  ++epoch_;
-
-  counters_.folds++;
-
-  if (on_commit != nullptr) on_commit(dirty);
   if (result != nullptr) {
     result->epoch = epoch_;
     result->dirty = std::move(dirty);
@@ -55,11 +53,6 @@ std::optional<std::string> DynamicGraph::Apply(
     result->removed_edges = delta.RemovedEdges();
   }
   return std::nullopt;
-}
-
-obs::DynCounters DynamicGraph::Stats() {
-  MutexLock lock(mu_);
-  return counters_;
 }
 
 }  // namespace cfl::dyn

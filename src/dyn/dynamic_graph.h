@@ -10,19 +10,19 @@
 // its last reader drops it, even after the DynamicGraph itself is gone.
 //
 // Writer path (`Apply`): seal the delta, fold it into a fresh CSR
-// (dyn/fold.h) under the graph mutex, advance the epoch, and report the
-// fold's DirtyLabels so the serve layer can invalidate exactly the affected
-// cached plans. A delta built against a snapshot that is no longer current
-// is rejected as stale — the caller re-acquires and rebuilds its delta
-// (serve/server.cc avoids the case by acquiring, building and applying
-// under one commit lock).
+// (dyn/fold.h) with no lock held, then, under the graph mutex, install it,
+// advance the epoch, and report the fold's DirtyLabels so the serve layer
+// can invalidate exactly the affected cached plans. A delta whose base is
+// no longer current by then is rejected as stale — the caller re-acquires
+// and rebuilds its delta (serve/server.cc avoids the case by acquiring,
+// building and applying under one commit lock).
 //
 // There is no compaction: `Graph::DeriveIndexes` makes every fold
 // content-equal to a from-scratch build of the same graph, and tombstones
 // keep their ids, so a rebuild would install an identical graph.
 //
 // Lock hierarchy (DESIGN.md §9): mu_ is level 22 — above serve's
-// prepare_mu_ (20), so Apply's prepare -> graph chain ascends.
+// commit_mu_ (20), so an UPDATE's commit -> graph chain ascends.
 
 #ifndef CFL_DYN_DYNAMIC_GRAPH_H_
 #define CFL_DYN_DYNAMIC_GRAPH_H_
@@ -37,7 +37,6 @@
 #include "check/thread_annotations.h"
 #include "dyn/delta.h"
 #include "graph/graph.h"
-#include "obs/dyn_counters.h"
 
 namespace cfl::dyn {
 
@@ -52,7 +51,6 @@ class Snapshot {
       : graph_(std::move(graph)), epoch_(epoch) {}
 
   const Graph& graph() const { return *graph_; }
-  const std::shared_ptr<const Graph>& graph_ptr() const { return graph_; }
   Epoch epoch() const { return epoch_; }
 
  private:
@@ -101,19 +99,15 @@ class DynamicGraph {
   // cache's 30 qualifies).
   std::optional<std::string> Apply(
       GraphDelta&& delta, ApplyResult* result = nullptr,
-      const std::function<void(const DirtyLabels&)>& on_commit = nullptr)
-      CFL_EXCLUDES(mu_);
+      const std::function<void(Epoch, const DirtyLabels&)>& on_commit =
+          nullptr) CFL_EXCLUDES(mu_);
 
   Epoch CurrentEpoch() CFL_EXCLUDES(mu_);
-
-  // Copy of the lifetime counters.
-  obs::DynCounters Stats() CFL_EXCLUDES(mu_);
 
  private:
   Mutex mu_ CFL_LOCK_LEVEL(22);
   std::shared_ptr<const Graph> current_ CFL_GUARDED_BY(mu_);
   Epoch epoch_ CFL_GUARDED_BY(mu_) = 0;
-  obs::DynCounters counters_ CFL_GUARDED_BY(mu_);
 };
 
 }  // namespace cfl::dyn

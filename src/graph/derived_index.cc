@@ -7,8 +7,11 @@
 // array: an untouched vertex's adjacency is byte-identical to the base's,
 // so its label runs, NLF, NLF mask, effective degree and hub row are
 // block-copied; a touched vertex derives them from its new adjacency. The
-// label index and the hub threshold are whole-graph quantities and are
-// recomputed in one linear pass either way.
+// per-label indexes follow the same rule one level up: the label index is
+// copied unless the batch added a vertex, and a label's sorted degrees are
+// copied, then adjusted for the touched members it holds. The hub
+// threshold is a whole-graph quantity and is recomputed in one linear pass
+// either way.
 
 #include <algorithm>
 #include <cstring>
@@ -107,27 +110,64 @@ std::vector<uint8_t> Graph::DeriveIndexes(const Graph* base,
   }
 
   // Label index, grouped by label then id. Tombstoned vertices keep their
-  // entry (degree zero), matching a rebuild over the same vertex set.
-  num_labels_ = 0;
-  for (Label l : labels_) num_labels_ = std::max(num_labels_, l + 1);
-  effective_num_vertices_ = 0;
-  label_offsets_.assign(num_labels_ + 1, 0);
-  label_frequency_.assign(num_labels_, 0);
-  for (uint32_t v = 0; v < n; ++v) {
-    effective_num_vertices_ += mult(v);
-    label_offsets_[labels_[v] + 1]++;
-    label_frequency_[labels_[v]] += mult(v);
-  }
-  for (uint32_t l = 0; l < num_labels_; ++l) {
-    label_offsets_[l + 1] += label_offsets_[l];
-  }
-  label_vertices_.resize(n);
-  {
+  // entry (degree zero), matching a rebuild over the same vertex set, so a
+  // batch that adds no vertex changes no label and copies the base's.
+  if (base != nullptr && n == old_n) {
+    num_labels_ = base->num_labels_;
+    effective_num_vertices_ = base->effective_num_vertices_;
+    label_offsets_ = base->label_offsets_;
+    label_frequency_ = base->label_frequency_;
+    label_vertices_ = base->label_vertices_;
+  } else {
+    num_labels_ = 0;
+    for (Label l : labels_) num_labels_ = std::max(num_labels_, l + 1);
+    effective_num_vertices_ = 0;
+    label_offsets_.assign(num_labels_ + 1, 0);
+    label_frequency_.assign(num_labels_, 0);
+    for (uint32_t v = 0; v < n; ++v) {
+      effective_num_vertices_ += mult(v);
+      label_offsets_[labels_[v] + 1]++;
+      label_frequency_[labels_[v]] += mult(v);
+    }
+    for (uint32_t l = 0; l < num_labels_; ++l) {
+      label_offsets_[l + 1] += label_offsets_[l];
+    }
+    label_vertices_.resize(n);
     std::vector<uint64_t> cursor(label_offsets_.begin(),
                                  label_offsets_.end() - 1);
     for (uint32_t v = 0; v < n; ++v) {
       label_vertices_[cursor[labels_[v]]++] = v;
     }
+  }
+
+  // Sorted degrees, by label like the label index: the base's slice, then
+  // the degrees of the members the batch added (every member, without a
+  // base), which have the highest ids and so fill the tail, sorted and
+  // merged in. Each touched base member's degree then moves to its place.
+  label_degrees_.resize(n);
+  for (Label l = 0; l < num_labels_; ++l) {
+    const std::span<const uint32_t> kept =
+        base == nullptr ? std::span<const uint32_t>()
+                        : base->SortedDegreesWithLabel(l);
+    uint32_t* first = label_degrees_.data() + label_offsets_[l];
+    uint32_t* last = label_degrees_.data() + label_offsets_[l + 1];
+    uint32_t* mid = std::copy(kept.begin(), kept.end(), first);
+    for (uint32_t* d = mid; d < last; ++d) {
+      *d = effective_degree_[label_vertices_[d - label_degrees_.data()]];
+    }
+    if (mid != last) {
+      std::sort(mid, last);
+      std::inplace_merge(first, mid, last);
+    }
+  }
+  for (VertexId t : touched) {
+    if (t >= old_n) continue;
+    uint32_t* first = label_degrees_.data() + label_offsets_[labels_[t]];
+    uint32_t* last = label_degrees_.data() + label_offsets_[labels_[t] + 1];
+    uint32_t* at = std::lower_bound(first, last, base->effective_degree_[t]);
+    *at = effective_degree_[t];
+    for (; at + 1 < last && at[0] > at[1]; ++at) std::swap(at[0], at[1]);
+    for (; at > first && at[-1] > at[0]; --at) std::swap(at[-1], at[0]);
   }
 
   // Max neighbor degree. Degrees moved only at touched vertices, so mnd can

@@ -23,6 +23,7 @@ uint64_t Graph::MemoryBytes() const {
   bytes += label_offsets_.capacity() * sizeof(uint64_t);
   bytes += label_vertices_.capacity() * sizeof(VertexId);
   bytes += label_frequency_.capacity() * sizeof(uint64_t);
+  bytes += label_degrees_.capacity() * sizeof(uint32_t);
   bytes += run_offsets_.capacity() * sizeof(uint64_t);
   bytes += runs_.capacity() * sizeof(LabelRun);
   bytes += hub_index_.capacity() * sizeof(uint32_t);

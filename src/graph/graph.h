@@ -12,6 +12,8 @@
 //     see below), falling back to an O(log d) binary search inside the
 //     matching label run otherwise,
 //   * O(1) label lookup and candidate seeding via a label index,
+//   * O(log) "how many l-labeled vertices have degree >= d" counts for root
+//     selection, from each label's sorted member degrees,
 //   * O(log L) neighbor-label-frequency (NLF) lookups for CandVerify
 //     (paper Algorithm 6), one entry per label run so the NLF shares the
 //     run index's offsets,
@@ -170,6 +172,14 @@ class Graph {
     return l < num_labels_ ? label_frequency_[l] : 0;
   }
 
+  // Effective degrees of the vertices with label l, sorted ascending (one
+  // per member, tombstones at 0; not in VerticesWithLabel's order).
+  std::span<const uint32_t> SortedDegreesWithLabel(Label l) const {
+    if (l >= num_labels_) return {};
+    return {label_degrees_.data() + label_offsets_[l],
+            label_degrees_.data() + label_offsets_[l + 1]};
+  }
+
   // --- Filters' support structures ---------------------------------------
 
   // Number of (expanded) neighbors of v with label l; the paper's d(v, l)
@@ -255,16 +265,18 @@ class Graph {
   static constexpr uint32_t kNoHub = static_cast<uint32_t>(-1);
 
   // Fills every derived index — label runs, effective degrees, num_labels_,
-  // the label index, NLF and its mask, mnd and the hub rows — from the
-  // CSR, labels_ and multiplicity_ (derived_index.cc). Called once, on a
-  // Graph whose derived fields are still default-constructed. With
-  // `base == nullptr` every vertex is derived. Otherwise `*this` is `base`
-  // after a fold: `touched` lists the vertices whose adjacency changed
-  // (every id >= base->NumVertices() among them); they are derived from
-  // their new adjacency, and every other vertex copies its runs, NLF, NLF
-  // mask, degree and hub row from `base`. Returns the vertices whose mnd
-  // was recomputed (a byte per vertex): the touched set and its new
-  // neighbours, or every vertex without a base.
+  // the label index and its sorted degrees, NLF and its mask, mnd and the
+  // hub rows — from the CSR, labels_ and multiplicity_ (derived_index.cc).
+  // Called once, on a Graph whose derived fields are still
+  // default-constructed. With `base == nullptr` every vertex is derived.
+  // Otherwise `*this` is `base` after a fold: `touched` lists the vertices
+  // whose adjacency changed (every id >= base->NumVertices() among them);
+  // they are derived from their new adjacency, and every other vertex
+  // copies its runs, NLF, NLF mask, degree and hub row from `base`, as do
+  // the label index (unless a vertex was added) and the sorted degrees of
+  // untouched vertices. Returns the vertices whose mnd was recomputed (a
+  // byte per vertex): the touched set and its new neighbours, or every
+  // vertex without a base.
   std::vector<uint8_t> DeriveIndexes(const Graph* base,
                                      std::span<const VertexId> touched);
 
@@ -288,6 +300,7 @@ class Graph {
   std::vector<uint64_t> label_offsets_;   // size num_labels+1
   std::vector<VertexId> label_vertices_;  // size n
   std::vector<uint64_t> label_frequency_; // size num_labels (multiplicities)
+  std::vector<uint32_t> label_degrees_;   // size n, by label_offsets_
 
   // Per-vertex label-run index over `neighbors_`.
   std::vector<uint64_t> run_offsets_;  // size n+1

@@ -13,7 +13,7 @@ namespace cfl {
 using obs::WallTimer;
 
 CflMatcher::CflMatcher(const Graph& data)
-    : data_(data), label_degree_index_(data), cpi_builder_(data) {
+    : data_(data), cpi_builder_(data) {
   if (check::DebugValidationEnabled()) {
     ValidationResult r = ValidateGraph(data);
     CFL_CHECK(r.ok) << " — data graph invalid: " << r.error;
@@ -39,7 +39,7 @@ PreparedQuery CflMatcher::Prepare(const Graph& q, const MatchOptions& options) {
     for (VertexId v = 0; v < q.NumVertices(); ++v) all_vertices[v] = v;
     root_choices = &all_vertices;
   }
-  VertexId root = SelectRoot(q, data_, label_degree_index_, *root_choices);
+  VertexId root = SelectRoot(q, data_, LabelDegreeIndex(data_), *root_choices);
   prepared.decomposition = DecomposeCfl(q, root);
   prepared.tree = BuildBfsTree(q, root);
   CFL_STATS_ONLY(prepared.stats.decompose_seconds = stats_timer.Lap();)

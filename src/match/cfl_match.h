@@ -11,11 +11,13 @@
 //   4. Core-match + forest-match by CPI-based backtracking (Algorithm 5);
 //      leaf-match by label-class/NEC counting (Section 4.4).
 //
-// `CflMatcher` is constructed once per data graph (it hosts the
-// LabelDegreeIndex and the CPI builder's scratch) and then serves any number
-// of queries. It accepts compressed data graphs (vertex multiplicities, the
-// [14] boost): counting mode is exact on them; enumeration mode emits
-// compressed embeddings (each distinct expansion is counted, not emitted).
+// `CflMatcher` holds only the CPI builder's scratch (Lemma 5.1's |V|-sized
+// count array) beside the data graph, whose own indexes serve everything
+// else, so it is cheap to build per graph snapshot and then serves any
+// number of queries. It accepts compressed data graphs (vertex
+// multiplicities, the [14] boost): counting mode is exact on them;
+// enumeration mode emits compressed embeddings (each distinct expansion is
+// counted, not emitted).
 
 #ifndef CFL_MATCH_CFL_MATCH_H_
 #define CFL_MATCH_CFL_MATCH_H_
@@ -23,7 +25,6 @@
 #include <memory>
 
 #include "check/thread_annotations.h"
-#include "cpi/candidate_filter.h"
 #include "cpi/cpi_builder.h"
 #include "decomp/cfl_decomposition.h"
 #include "graph/graph.h"
@@ -102,7 +103,6 @@ class CflMatcher {
 
  private:
   const Graph& data_;
-  LabelDegreeIndex label_degree_index_;
   CpiBuilder cpi_builder_;
 };
 

@@ -72,6 +72,8 @@ std::shared_ptr<const PreparedQuery> PlanCache::Insert(const Graph& query,
   if (bytes > max_bytes_) return shared;  // would evict everything: skip
 
   MutexLock lock(mu_);
+  // A commit since `epoch` ran its invalidation pass without this plan.
+  if (epoch < committed_epoch_) return shared;
   // A racing prepare of an isomorphic query may have populated the bucket
   // already; keep the resident entry (its LRU position is warm) and hand
   // the caller its own plan uncached.
@@ -107,9 +109,11 @@ void PlanCache::EvictIfOver() {
   }
 }
 
-uint64_t PlanCache::InvalidateLabels(const dyn::DirtyLabels& dirty) {
-  if (!enabled() || dirty.labels.empty()) return 0;
+uint64_t PlanCache::InvalidateLabels(const dyn::DirtyLabels& dirty,
+                                     uint64_t epoch) {
+  if (!enabled()) return 0;
   MutexLock lock(mu_);
+  committed_epoch_ = std::max(committed_epoch_, epoch);
   uint64_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (!dirty.Intersects(it->labels)) {
@@ -137,13 +141,6 @@ PlanCacheStats PlanCache::Stats() {
   out.bytes = bytes_;
   out.entries = lru_.size();
   return out;
-}
-
-void PlanCache::Clear() {
-  MutexLock lock(mu_);
-  index_.clear();
-  lru_.clear();
-  bytes_ = 0;
 }
 
 }  // namespace cfl::serve

@@ -26,7 +26,9 @@
 // (proved by tests/serve_test.cc). The server calls InvalidateLabels from
 // DynamicGraph::Apply's on_commit hook, i.e. before the new epoch is
 // visible to any query, so a query can never hit a plan its own epoch
-// dirtied.
+// dirtied. The same call records the epoch, and Insert passes a plan
+// prepared against an older epoch through uncached, since that commit's
+// invalidation pass never saw it; both run under the cache mutex.
 //
 // Thread-safe: one mutex guards the map + LRU list; PreparedQuery itself is
 // immutable after build, so handed-out shared_ptrs stay valid after
@@ -95,23 +97,24 @@ class PlanCache {
   // is touched to the LRU front. Returns an empty Hit (null plan) on miss.
   Hit Find(const Graph& query) CFL_EXCLUDES(mu_);
 
-  // Registers a plan freshly prepared from `query` (identity remap). The
-  // cache copies the query as the bucket representative. Returns the shared
-  // plan so the caller enumerates from the same object it cached. Oversized
-  // plans (> max_bytes) and duplicate buckets (a racing insert of an
-  // isomorphic query) are passed through uncached.
+  // Registers a plan freshly prepared from `query` (identity remap) against
+  // data epoch `epoch`. The cache copies the query as the bucket
+  // representative. Returns the shared plan so the caller enumerates from
+  // the same object it cached. Oversized plans (> max_bytes), duplicate
+  // buckets (a racing insert of an isomorphic query) and plans older than
+  // the last committed epoch are passed through uncached.
   std::shared_ptr<const PreparedQuery> Insert(const Graph& query,
                                               PreparedQuery plan,
                                               uint64_t epoch = 0)
       CFL_EXCLUDES(mu_);
 
-  // Drops every entry whose query label set intersects `dirty`; returns
-  // the number dropped (and counts them in stats().invalidations).
-  uint64_t InvalidateLabels(const dyn::DirtyLabels& dirty) CFL_EXCLUDES(mu_);
+  // Records `epoch` as committed and drops every entry whose query label
+  // set intersects `dirty`, the batch that made it; returns the number
+  // dropped (and counts them in stats().invalidations).
+  uint64_t InvalidateLabels(const dyn::DirtyLabels& dirty, uint64_t epoch)
+      CFL_EXCLUDES(mu_);
 
   PlanCacheStats Stats() CFL_EXCLUDES(mu_);
-
-  void Clear() CFL_EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -139,6 +142,8 @@ class PlanCache {
   std::multimap<uint64_t, std::list<Entry>::iterator> index_
       CFL_GUARDED_BY(mu_);
   uint64_t bytes_ CFL_GUARDED_BY(mu_) = 0;
+  // Newest epoch passed to InvalidateLabels; Insert caches no older plan.
+  uint64_t committed_epoch_ CFL_GUARDED_BY(mu_) = 0;
   PlanCacheStats stats_ CFL_GUARDED_BY(mu_);
 };
 

@@ -14,6 +14,7 @@
 
 #include "check/check.h"
 #include "graph/graph_io.h"
+#include "match/cfl_match.h"
 #include "obs/clock.h"
 
 namespace cfl::serve {
@@ -305,32 +306,13 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
     plan_graph = std::move(hit.representative);
     remap = std::move(hit.remap);
   } else {
+    // Prepare on this session thread with a matcher over the snapshot (it
+    // costs one |V|-sized count array), under no lock. Insert leaves the
+    // plan uncached if a batch committed since the snapshot (plan_cache.h);
+    // it is still correct for this query, by snapshot isolation.
     WallTimer prepare_timer;
-    {
-      // Prepare reuses the CPI builder's scratch: one at a time. Insert
-      // rides inside the critical section (lock order prepare_mu_ ->
-      // cache mutex; nothing takes them in the other order).
-      MutexLock lock(prepare_mu_);
-      if (matcher_graph_ != snapshot.graph_ptr()) {
-        // Rebind the prepare-side matcher to this query's snapshot; the
-        // shared_ptr keeps the epoch's graph alive for the matcher's
-        // internal references, so no later epoch can reuse its address.
-        matcher_graph_ = snapshot.graph_ptr();
-        matcher_ = std::make_unique<CflMatcher>(*matcher_graph_);
-      }
-      PreparedQuery prepared = matcher_->Prepare(query);
-      if (dyn_.CurrentEpoch() == snapshot.epoch()) {
-        plan = cache_.Insert(query, std::move(prepared), snapshot.epoch());
-      } else {
-        // An update committed since we took the snapshot: this plan
-        // describes a superseded epoch. Correct for *this* query (snapshot
-        // isolation) but must not outlive it in the cache — the committed
-        // batch's invalidation pass ran before this insert would land.
-        // Updates also hold prepare_mu_, so the epoch check and Insert are
-        // atomic with respect to commits.
-        plan = std::make_shared<const PreparedQuery>(std::move(prepared));
-      }
-    }
+    plan = cache_.Insert(query, CflMatcher(data).Prepare(query),
+                         snapshot.epoch());
     outcome.prepare_ms = prepare_timer.Lap() * 1e3;
     plan_graph = std::make_shared<const Graph>(query);
   }
@@ -399,20 +381,20 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     ops.push_back(*op);
   }
 
-  // The snapshot, the delta and the commit all run under prepare_mu_, so
+  // The snapshot, the delta and the commit all run under commit_mu_, so
   // no other commit can land between Acquire and Apply and the delta is
-  // never stale; building it is O(ops). prepare_mu_ also makes the commit
-  // atomic with HandleQuery's epoch-checked cache inserts, and the
-  // on_commit hook invalidates affected plans before the new epoch is
-  // visible to any Acquire. `base` is declared out here because it is
-  // often the superseded graph's last owner: freeing that graph is O(|V|)
-  // and belongs after the lock and the reply, not inside them.
+  // never stale; building it is O(ops), and the fold inside Apply holds no
+  // lock a query takes. The on_commit hook invalidates affected plans and
+  // records the epoch before the new epoch is visible to any Acquire.
+  // `base` is declared out here because it is often the superseded graph's
+  // last owner: freeing that graph is O(|V|) and belongs after the lock
+  // and the reply, not inside them.
   std::optional<dyn::Snapshot> base;
   dyn::ApplyResult result;
   uint64_t invalidated = 0;
   std::optional<std::string> rejected;
   {
-    MutexLock lock(prepare_mu_);
+    MutexLock lock(commit_mu_);
     base = dyn_.Acquire();
     dyn::GraphDelta delta = dyn_.NewDelta(*base);
     for (const UpdateOp& op : ops) {
@@ -439,10 +421,11 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
     if (!rejected.has_value()) {
       [[maybe_unused]] std::optional<std::string> stale =
           dyn_.Apply(std::move(delta), &result,
-                     [&](const dyn::DirtyLabels& dirty) {
-                       invalidated = cache_.InvalidateLabels(dirty);
+                     [&](dyn::Epoch epoch, const dyn::DirtyLabels& dirty) {
+                       invalidated = cache_.InvalidateLabels(dirty, epoch);
                      });
       CFL_DCHECK(!stale.has_value()) << " " << *stale;
+      ++updates_;
     }
   }
   if (rejected.has_value()) {
@@ -460,10 +443,6 @@ bool QueryServer::HandleUpdate(int fd, LineReader& reader) {
   outcome.dirty_labels = static_cast<uint32_t>(result.dirty.labels.size());
   outcome.invalidated = invalidated;
   outcome.retained = cache_.Stats().entries;
-  {
-    MutexLock lock(counter_mu_);
-    ++counters_.updates;
-  }
   return WriteAll(fd, FormatUpdatedLine(outcome) + "\n");
 }
 
@@ -473,12 +452,19 @@ bool QueryServer::HandleStats(int fd) {
     MutexLock lock(counter_mu_);
     counters = counters_;
   }
+  uint64_t updates = 0;
+  dyn::Epoch epoch = 0;
+  {
+    // Read together with the epoch, so both count the same commits.
+    MutexLock lock(commit_mu_);
+    updates = updates_;
+    epoch = dyn_.CurrentEpoch();
+  }
   PlanCacheStats cache = cache_.Stats();
-  obs::DynCounters dyn = dyn_.Stats();
   std::string line = "STATS";
   line += " queries=" + std::to_string(counters.queries);
   line += " stream_queries=" + std::to_string(counters.stream_queries);
-  line += " updates=" + std::to_string(counters.updates);
+  line += " updates=" + std::to_string(updates);
   line += " errors=" + std::to_string(counters.errors);
   line += " connections=" + std::to_string(counters.connections);
   line += " cache_hits=" + std::to_string(cache.hits);
@@ -488,8 +474,7 @@ bool QueryServer::HandleStats(int fd) {
   line += " cache_invalidations=" + std::to_string(cache.invalidations);
   line += " cache_bytes=" + std::to_string(cache.bytes);
   line += " cache_entries=" + std::to_string(cache.entries);
-  line += " epoch=" + std::to_string(dyn_.CurrentEpoch());
-  line += " folds=" + std::to_string(dyn.folds);
+  line += " epoch=" + std::to_string(epoch);
   line += " active=" + std::to_string(scheduler_.ActiveQueries());
   line += " workers=" + std::to_string(scheduler_.workers());
   line += "\n";

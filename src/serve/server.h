@@ -16,12 +16,12 @@
 //      Updates invalidate exactly the entries whose query labels the batch
 //      dirtied — from inside the commit's critical section, so a query can
 //      never hit a plan its own epoch staled;
-//   3. on a miss, runs CflMatcher::Prepare — serialized by a mutex, because
-//      Prepare reuses the CPI builder's scratch and is not thread-safe
-//      (enumeration, the expensive half under load, is what parallelizes).
-//      The matcher is rebound when the epoch moved since the last prepare;
-//      a plan prepared against a snapshot that is no longer current is
-//      used for its own query but not cached;
+//   3. on a miss, runs CflMatcher::Prepare on the session thread, with a
+//      matcher built over the snapshot (every index it reads is derived
+//      with the graph; it allocates only the CPI builder's count array), so
+//      misses and commits run side by side and no lock is held across a
+//      Prepare. The cache refuses a plan whose epoch a commit has since
+//      superseded: it is used for its own query but not cached;
 //   4. executes through the scheduler (serve/scheduler.h), which owns
 //      admission, limit clamping and the from-arrival deadline for both
 //      modes: counting queries fan out over the shared worker pool;
@@ -56,7 +56,6 @@
 #include "check/thread_annotations.h"
 #include "dyn/dynamic_graph.h"
 #include "graph/graph.h"
-#include "match/cfl_match.h"
 #include "parallel/task_pool.h"
 #include "serve/plan_cache.h"
 #include "serve/protocol.h"
@@ -91,7 +90,6 @@ struct ServeOptions {
 struct ServerCounters {
   uint64_t queries = 0;        // QUERY requests completed
   uint64_t stream_queries = 0;
-  uint64_t updates = 0;        // UPDATE batches committed
   uint64_t errors = 0;         // ERR responses sent
   uint64_t connections = 0;
 };
@@ -141,15 +139,12 @@ class QueryServer {
   // server never holds a bare `const Graph&` anymore.
   dyn::DynamicGraph dyn_;
 
-  // CflMatcher::Prepare is not thread-safe; level 20 < DynamicGraph's 22 <
-  // PlanCache's 30, because HandleQuery inserts into the cache under
-  // prepare_mu_ and HandleUpdate commits (and invalidates the cache from
-  // the commit hook) under it. The matcher is lazily rebound to the
-  // querying snapshot's epoch; matcher_graph_ keeps that epoch's graph
-  // alive for as long as the matcher references it.
-  Mutex prepare_mu_ CFL_LOCK_LEVEL(20);
-  std::shared_ptr<const Graph> matcher_graph_ CFL_GUARDED_BY(prepare_mu_);
-  std::unique_ptr<CflMatcher> matcher_ CFL_GUARDED_BY(prepare_mu_);
+  // Taken by UPDATE (and STATS) only, never by a QUERY: acquire -> delta
+  // -> Apply runs under it, so a delta is never built on a stale snapshot.
+  // Level 20 < DynamicGraph's 22 < PlanCache's 30, because HandleUpdate
+  // commits (and invalidates the cache from the commit hook) under it.
+  Mutex commit_mu_ CFL_LOCK_LEVEL(20);
+  uint64_t updates_ CFL_GUARDED_BY(commit_mu_) = 0;  // batches committed
 
   PlanCache cache_;
   QueryScheduler scheduler_;

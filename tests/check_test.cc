@@ -128,6 +128,12 @@ TEST(ValidateGraphTest, CatchesLabelIndexInconsistency) {
   ExpectFailureContaining(ValidateGraph(g), "LabelFrequency");
 }
 
+TEST(ValidateGraphTest, CatchesSortedDegreeDrift) {
+  Graph g = Figure3Data();
+  ++GraphTestAccess::LabelDegrees(g).back();
+  ExpectFailureContaining(ValidateGraph(g), "SortedDegreesWithLabel");
+}
+
 TEST(ValidateGraphTest, CatchesNlfDrift) {
   Graph g = Figure3Data();
   ++GraphTestAccess::Nlf(g)[0].count;

@@ -9,6 +9,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "cpi/root_select.h"
 #include "decomp/bfs_tree.h"
 #include "gen/query_gen.h"
+#include "gen/rng.h"
 #include "gen/synthetic.h"
 #include "graph/graph_builder.h"
 #include "test_util.h"
@@ -84,6 +86,50 @@ TEST(LabelDegreeIndexTest, Counts) {
   EXPECT_EQ(index.CountAtLeast(testing::kA, 1), 2u);
   EXPECT_EQ(index.CountAtLeast(testing::kA, 4), 1u);
   EXPECT_EQ(index.CountAtLeast(99, 0), 0u);
+}
+
+// A compressed graph: hypervertices with multiplicities up to 900, some
+// with clique self-loops, so effective degrees run far past |V|. The
+// counts must match a brute-force scan for every label and every degree,
+// from an index of one entry per vertex.
+TEST(LabelDegreeIndexTest, CompressedGraphMatchesBruteForce) {
+  constexpr uint32_t kN = 60;
+  Rng rng(4242);
+  GraphBuilder builder(kN);
+  builder.AllowSelfLoops();
+  std::vector<uint32_t> multiplicity(kN);
+  for (VertexId v = 0; v < kN; ++v) {
+    builder.SetLabel(v, static_cast<Label>(rng.Below(4)));
+    multiplicity[v] = 1 + static_cast<uint32_t>(rng.Below(900));
+    if (rng.Below(3) == 0) builder.AddEdge(v, v);
+    for (int e = 0; e < 3; ++e) {
+      const VertexId w = static_cast<VertexId>(rng.Below(kN));
+      if (w != v) builder.AddEdge(v, w);
+    }
+  }
+  builder.SetMultiplicities(multiplicity);
+  Graph g = std::move(builder).Build();
+  ASSERT_TRUE(g.HasMultiplicities());
+
+  uint32_t max_degree = 0;
+  for (VertexId v = 0; v < kN; ++v) {
+    max_degree = std::max(max_degree, g.degree(v));
+  }
+  ASSERT_GT(max_degree, 10 * kN);
+
+  LabelDegreeIndex index(g);
+  size_t entries = 0;
+  for (Label l = 0; l <= g.NumLabels(); ++l) {
+    entries += g.SortedDegreesWithLabel(l).size();
+    for (uint32_t d = 0; d <= max_degree + 1; ++d) {
+      uint64_t brute = 0;
+      for (VertexId v = 0; v < kN; ++v) {
+        if (g.label(v) == l && g.degree(v) >= d) ++brute;
+      }
+      ASSERT_EQ(index.CountAtLeast(l, d), brute) << "label " << l << " d " << d;
+    }
+  }
+  EXPECT_EQ(entries, g.NumVertices());
 }
 
 TEST(RootSelectTest, PicksU0ForFigure7) {

@@ -1,13 +1,18 @@
 // Tests for the dynamic-graph epoch layer: the GraphDelta overlay's merged
 // adjacency against a std::set model, FoldDelta content equality with a
 // from-scratch rebuild, snapshot isolation across commits, stale-delta
-// rejection, and snapshot lifetime beyond the DynamicGraph.
+// rejection (also between writers racing on one base), and snapshot
+// lifetime beyond the DynamicGraph.
 
 #include "dyn/dynamic_graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -255,6 +260,9 @@ void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
     std::span<const VertexId> rv = rebuilt.VerticesWithLabel(l);
     ASSERT_TRUE(std::equal(fv.begin(), fv.end(), rv.begin(), rv.end())) << l;
     ASSERT_EQ(folded.LabelFrequency(l), rebuilt.LabelFrequency(l)) << l;
+    std::span<const uint32_t> fd = folded.SortedDegreesWithLabel(l);
+    std::span<const uint32_t> rd = rebuilt.SortedDegreesWithLabel(l);
+    ASSERT_TRUE(std::equal(fd.begin(), fd.end(), rd.begin(), rd.end())) << l;
   }
 }
 
@@ -455,6 +463,47 @@ TEST(DynamicGraphTest, StaleDeltaIsRejectedWholesale) {
   dyn::Snapshot now = dg.Acquire();
   EXPECT_FALSE(now.graph().HasEdge(0, 2));
   EXPECT_EQ(now.epoch(), 1u);
+}
+
+TEST(DynamicGraphTest, RacingWritersOnOneBaseCommitExactlyOnce) {
+  // Apply folds before it takes the graph mutex, so two writers can fold
+  // the same base at once. Whichever commits second must get the stale
+  // error and land nothing of its batch.
+  for (uint64_t round = 0; round < 8; ++round) {
+    DynamicGraph dg(SmallBase(500 + round, 3000));
+    dyn::Snapshot snap = dg.Acquire();
+    std::pair<VertexId, VertexId> edges[2];
+    for (VertexId i = 0; i < 2; ++i) {
+      VertexId w = 2;
+      while (snap.graph().HasEdge(i, w)) ++w;
+      edges[i] = {i, w};
+    }
+    std::atomic<int> ready{0};
+    std::optional<std::string> errors[2];
+    std::vector<std::thread> writers;
+    for (int i = 0; i < 2; ++i) {
+      writers.emplace_back([&, i] {
+        GraphDelta delta = dg.NewDelta(snap);
+        ASSERT_TRUE(delta.AddEdge(edges[i].first, edges[i].second));
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        errors[i] = dg.Apply(std::move(delta));
+      });
+    }
+    for (std::thread& t : writers) t.join();
+
+    ASSERT_NE(errors[0].has_value(), errors[1].has_value()) << round;
+    const int winner = errors[0].has_value() ? 1 : 0;
+    EXPECT_NE(errors[1 - winner]->find("stale"), std::string::npos)
+        << *errors[1 - winner];
+    dyn::Snapshot now = dg.Acquire();
+    EXPECT_EQ(now.epoch(), 1u);
+    EXPECT_TRUE(now.graph().HasEdge(edges[winner].first,
+                                    edges[winner].second));
+    EXPECT_FALSE(now.graph().HasEdge(edges[1 - winner].first,
+                                     edges[1 - winner].second));
+  }
 }
 
 TEST(DynamicGraphTest, EmptyDeltaCommitsNothing) {

@@ -243,7 +243,7 @@ TEST(PlanCacheTest, InvalidateLabelsDropsOnlyIntersectingEntries) {
   // A batch that dirtied label 3 must drop exactly the {2,3} plan.
   dyn::DirtyLabels dirty;
   dirty.labels = {3};
-  EXPECT_EQ(cache.InvalidateLabels(dirty), 1u);
+  EXPECT_EQ(cache.InvalidateLabels(dirty, 1), 1u);
   EXPECT_NE(cache.Find(q01).plan, nullptr);
   EXPECT_EQ(cache.Find(q23).plan, nullptr);
   serve::PlanCacheStats stats = cache.Stats();
@@ -254,7 +254,35 @@ TEST(PlanCacheTest, InvalidateLabelsDropsOnlyIntersectingEntries) {
   // A clean batch drops nothing.
   dyn::DirtyLabels clean;
   clean.labels = {7};
-  EXPECT_EQ(cache.InvalidateLabels(clean), 0u);
+  EXPECT_EQ(cache.InvalidateLabels(clean, 2), 0u);
+  EXPECT_EQ(cache.Stats().entries, 1u);
+}
+
+// A plan prepared against an epoch that a commit has since superseded is
+// handed back uncached, whatever its labels: that commit's invalidation
+// pass ran before the plan existed, so it may describe dirtied labels.
+TEST(PlanCacheTest, InsertOlderThanLastCommitIsNotCached) {
+  Graph data = TestData();
+  CflMatcher matcher(data);
+  PlanCache cache(64ull << 20);
+  Graph q01 = MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}});
+  Graph q23 = MakeGraph({2, 3, 2}, {{0, 1}, {1, 2}});
+
+  dyn::DirtyLabels dirty;
+  dirty.labels = {7};  // disjoint from both queries
+  EXPECT_EQ(cache.InvalidateLabels(dirty, 3), 0u);
+
+  std::shared_ptr<const PreparedQuery> stale =
+      cache.Insert(q01, matcher.Prepare(q01), 2);
+  ASSERT_NE(stale, nullptr);  // still returned for its own query
+  EXPECT_EQ(cache.Stats().entries, 0u);
+  EXPECT_EQ(cache.Find(q01).plan, nullptr);
+
+  // Plans prepared at (or after) the committed epoch are cached.
+  ASSERT_NE(cache.Insert(q23, matcher.Prepare(q23), 3), nullptr);
+  PlanCache::Hit hit = cache.Find(q23);
+  ASSERT_NE(hit.plan, nullptr);
+  EXPECT_EQ(hit.epoch, 3u);
   EXPECT_EQ(cache.Stats().entries, 1u);
 }
 
@@ -1017,8 +1045,8 @@ TEST(QueryServerTest, ConcurrentUpdatersAllCommit) {
   // {ae 0 3, re 1 2} and its inverse; B: as in the test above), so a
   // reader counting both clusters meanwhile must see exactly three
   // matching edges in each, every time. Isolated label-4 padding leaves
-  // every count alone but makes each matcher rebind and fold O(|V|) under
-  // the commit lock, so the two sessions really contend for it.
+  // every count alone but makes each fold O(|V|) under the commit lock, so
+  // the two sessions really contend for it.
   const Graph clusters = TwoClusterData();
   const VertexId n = clusters.NumVertices();
   GraphBuilder builder(n + 100000);
@@ -1090,6 +1118,86 @@ TEST(QueryServerTest, ConcurrentUpdatersAllCommit) {
   std::map<std::string, uint64_t> stats = client.Stats();
   EXPECT_EQ(stats["updates"], static_cast<uint64_t>(2 * kBatches));
   EXPECT_EQ(stats["epoch"], static_cast<uint64_t>(2 * kBatches));
+}
+
+// A cache miss prepares on its own session thread under no server lock:
+// while one session prepares a slow query, an UPDATE and another session's
+// miss both complete. The data graph is TwoClusterData plus a random
+// label-5 padding component; the slow query is a label-5 cycle with a
+// chord, whose CPI spans most of the padding, while the update and the
+// quick miss stay in the clusters. The plan cache is off so every query
+// prepares: the slow query is timed alone first, and the concurrent pair
+// starts a quarter of that time into its second run.
+TEST(QueryServerTest, SlowMissDelaysNeitherUpdateNorOtherMiss) {
+  constexpr VertexId kPad = 20000;
+  const Graph clusters = TwoClusterData();
+  const VertexId n = clusters.NumVertices();
+  GraphBuilder builder(n + kPad);
+  for (VertexId v = 0; v < n; ++v) {
+    builder.SetLabel(v, clusters.label(v));
+    for (VertexId w : clusters.Neighbors(v)) {
+      if (w > v) builder.AddEdge(v, w);
+    }
+  }
+  Rng rng(77);
+  for (VertexId v = n; v < n + kPad; ++v) {
+    builder.SetLabel(v, 5);
+    for (int e = 0; e < 8; ++e) {
+      const VertexId w = n + static_cast<VertexId>(rng.Below(kPad));
+      if (w != v) builder.AddEdge(v, w);
+    }
+  }
+  Graph data = std::move(builder).Build();
+  Graph slow = MakeGraph({5, 5, 5, 5, 5, 5, 5, 5},
+                         {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+                          {6, 7}, {7, 0}, {0, 4}});
+  MatchLimits first;
+  first.max_embeddings = 1;
+
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("slowmiss");
+  options.workers = 2;
+  options.sessions = 4;
+  options.cache_bytes = 0;
+  ServerFixture fixture(data, options);
+
+  serve::ServeClient slow_client;
+  ASSERT_TRUE(slow_client.Connect(fixture.socket_path()));
+  const auto start = std::chrono::steady_clock::now();
+  serve::ServeClient::Reply alone = slow_client.Count(slow, first);
+  ASSERT_TRUE(alone.ok) << alone.error;
+  const auto slow_alone = std::chrono::steady_clock::now() - start;
+
+  std::atomic<bool> slow_done{false};
+  std::thread slow_thread([&] {
+    serve::ServeClient::Reply reply = slow_client.Count(slow, first);
+    EXPECT_TRUE(reply.ok) << reply.error;
+    slow_done.store(true);
+  });
+  std::this_thread::sleep_for(slow_alone / 4);
+  bool update_beat_slow = false;
+  bool miss_beat_slow = false;
+  std::thread updater([&] {
+    serve::ServeClient client;
+    ASSERT_TRUE(client.Connect(fixture.socket_path()));
+    serve::ServeClient::UpdateReply reply =
+        client.Update({{serve::UpdateOp::Kind::kAddEdge, 4, 7}});
+    update_beat_slow = !slow_done.load();
+    EXPECT_TRUE(reply.ok) << reply.error;
+  });
+  std::thread other_miss([&] {
+    serve::ServeClient client;
+    ASSERT_TRUE(client.Connect(fixture.socket_path()));
+    serve::ServeClient::Reply reply = client.Count(EdgeQuery(0, 1));
+    miss_beat_slow = !slow_done.load();
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.outcome.embeddings, 3u);
+  });
+  updater.join();
+  other_miss.join();
+  slow_thread.join();
+  EXPECT_TRUE(update_beat_slow);
+  EXPECT_TRUE(miss_beat_slow);
 }
 
 // A stream's deadline counts from arrival, like a count's: time queued
