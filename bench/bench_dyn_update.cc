@@ -149,11 +149,14 @@ struct ChurnResult {
 
 // Runs the closed-loop clients over relabeled requests until `stop` flips
 // (or a generous request cap is hit, so the quiet phase terminates too).
+// Each client counts itself into `started` (when given) once its first
+// request is built, or once it gives up before one.
 QueryPhaseResult RunQueryClients(const std::string& socket_path,
                                  const std::vector<Graph>& shapes,
                                  const DriverConfig& d,
                                  const MatchLimits& limits, uint64_t cap,
-                                 std::atomic<bool>* stop) {
+                                 std::atomic<bool>* stop,
+                                 std::atomic<uint32_t>* started = nullptr) {
   std::atomic<uint64_t> issued{0};
   std::atomic<uint64_t> errors{0};
   std::vector<std::vector<double>> latencies(d.clients);
@@ -163,9 +166,15 @@ QueryPhaseResult RunQueryClients(const std::string& socket_path,
   clients.reserve(d.clients);
   for (uint32_t c = 0; c < d.clients; ++c) {
     clients.emplace_back([&, c] {
+      bool counted = false;
+      auto count_started = [&] {
+        if (started != nullptr && !counted) started->fetch_add(1);
+        counted = true;
+      };
       serve::ServeClient client;
       if (!client.Connect(socket_path)) {
         errors.fetch_add(1, std::memory_order_relaxed);
+        count_started();
         return;
       }
       Rng rng(0xd15ea5eULL + c);
@@ -173,11 +182,13 @@ QueryPhaseResult RunQueryClients(const std::string& socket_path,
         const uint64_t i = issued.fetch_add(1, std::memory_order_relaxed);
         if (i >= cap) break;
         Graph request = Relabel(shapes[i % shapes.size()], rng);
+        count_started();
         obs::WallTimer request_timer;
         serve::ServeClient::Reply reply = client.Count(request, limits);
         latencies[c].push_back(request_timer.Lap() * 1e3);
         if (!reply.ok) errors.fetch_add(1, std::memory_order_relaxed);
       }
+      count_started();
     });
   }
   for (std::thread& t : clients) t.join();
@@ -318,9 +329,12 @@ int main(int argc, char** argv) {
               quiet.qps, quiet.p50_ms, quiet.p95_ms,
               static_cast<unsigned long long>(quiet.completed));
 
-  // Phase 2: the same mix under churn.
+  // Phase 2: the same mix under churn. The updater commits its first
+  // batch only once every client is querying: a handful of fast batches
+  // could otherwise all commit before any client thread has run.
   ChurnResult churn;
   std::atomic<bool> stop{false};
+  std::atomic<uint32_t> started{0};
   std::thread updater([&] {
     serve::ServeClient client;
     if (!client.Connect(socket_path)) {
@@ -328,6 +342,7 @@ int main(int argc, char** argv) {
       stop.store(true, std::memory_order_relaxed);
       return;
     }
+    while (started.load() < d.clients) std::this_thread::yield();
     EdgeMirror mirror(data);
     Rng rng(0xc0ffeeULL);
     std::vector<double> batch_ms;
@@ -355,7 +370,7 @@ int main(int argc, char** argv) {
     stop.store(true, std::memory_order_relaxed);
   });
   churn.queries = RunQueryClients(socket_path, shapes, d, limits,
-                                  /*cap=*/UINT64_MAX, &stop);
+                                  /*cap=*/UINT64_MAX, &stop, &started);
   updater.join();
   std::printf("churn  qps=%8.1f  p50=%7.2fms  p95=%7.2fms  queries=%llu\n",
               churn.queries.qps, churn.queries.p50_ms, churn.queries.p95_ms,

@@ -20,8 +20,11 @@
 #include "decomp/bfs_tree.h"
 #include "decomp/cfl_decomposition.h"
 #include "decomp/two_core.h"
+#include "dyn/delta.h"
+#include "dyn/fold.h"
 #include "gen/datasets.h"
 #include "gen/query_gen.h"
+#include "gen/rng.h"
 #include "gen/synthetic.h"
 #include "graph/graph_builder.h"
 #include "harness/env.h"
@@ -218,6 +221,47 @@ void BM_EnumerateHubHeavy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumerateHubHeavy)->Arg(8)->Arg(12);
+
+// Folding one committed UPDATE batch into the next epoch: 16-op batches
+// (eight edge removals, eight insertions, about 32 touched vertices) over
+// the 25K-vertex, 50-label synthetic graph the serving benchmarks churn.
+// Every batch is sealed against the same base, so each iteration times
+// FoldDelta alone.
+void BM_FoldDelta(benchmark::State& state) {
+  static const Graph* base = [] {
+    SyntheticOptions options;
+    options.num_vertices = 25'000;
+    options.average_degree = 8.0;
+    options.num_labels = 50;
+    options.seed = 20160626;
+    return new Graph(MakeSynthetic(options));
+  }();
+  const uint32_t n = base->NumVertices();
+  Rng rng(11);
+  std::vector<dyn::GraphDelta> batches;
+  for (uint32_t b = 0; b < 64; ++b) {
+    dyn::GraphDelta& delta = batches.emplace_back(*base);
+    for (uint32_t removed = 0; removed < 8;) {
+      const auto u = static_cast<VertexId>(rng.Below(n));
+      std::span<const VertexId> adj = base->Neighbors(u);
+      if (adj.empty()) continue;
+      removed += delta.RemoveEdge(u, adj[rng.Below(adj.size())]);
+    }
+    for (uint32_t added = 0; added < 8;) {
+      const auto u = static_cast<VertexId>(rng.Below(n));
+      const auto v = static_cast<VertexId>(rng.Below(n));
+      added += u != v && delta.AddEdge(u, v);
+    }
+    delta.Seal();
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    dyn::DirtyLabels dirty;
+    benchmark::DoNotOptimize(dyn::FoldDelta(*base, batches[next], &dirty));
+    next = (next + 1) % batches.size();
+  }
+}
+BENCHMARK(BM_FoldDelta)->Unit(benchmark::kMicrosecond);
 
 // Console reporter that additionally appends one JSON line per finished
 // benchmark to CFL_BENCH_JSON — the same flat-schema JSON-lines file the

@@ -190,11 +190,6 @@ std::span<const VertexId> GraphDelta::Touched() const {
   return touched_;
 }
 
-bool GraphDelta::IsTouched(VertexId v) const {
-  CFL_CHECK(sealed_) << " IsTouched() before Seal()";
-  return per_vertex_.count(v) != 0;
-}
-
 std::span<const VertexId> GraphDelta::Added(VertexId v) const {
   CFL_CHECK(sealed_) << " Added() before Seal()";
   const PerVertex* p = Find(v);

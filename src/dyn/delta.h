@@ -128,7 +128,6 @@ class GraphDelta {
   // every tombstone, every added vertex), ascending. Sealed only.
   // cfl-analyze: allow(span-escape) views into the sealed (frozen) delta
   std::span<const VertexId> Touched() const;
-  bool IsTouched(VertexId v) const;
 
   // Net added / removed neighbors of `v`, sorted by (post-delta label, id).
   // Empty spans for untouched vertices. Sealed only.

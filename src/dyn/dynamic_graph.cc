@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "check/check.h"
+#include "check/validate.h"
 #include "dyn/fold.h"
 
 namespace cfl::dyn {
@@ -33,6 +34,12 @@ std::optional<std::string> DynamicGraph::Apply(
   if (!delta.empty()) {
     next = std::make_shared<const Graph>(
         FoldDelta(delta.base(), delta, &dirty));
+    // Debug builds check every folded epoch structurally before anyone
+    // can acquire it, so a slip in the fold's range arithmetic fails here.
+    if (check::DebugValidationEnabled()) {
+      ValidationResult r = ValidateGraph(*next);
+      CFL_CHECK(r.ok) << " — folded epoch invalid: " << r.error;
+    }
   }
   MutexLock lock(mu_);
   if (&delta.base() != current_.get()) {

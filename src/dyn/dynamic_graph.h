@@ -10,7 +10,8 @@
 // its last reader drops it, even after the DynamicGraph itself is gone.
 //
 // Writer path (`Apply`): seal the delta, fold it into a fresh CSR
-// (dyn/fold.h) with no lock held, then, under the graph mutex, install it,
+// (dyn/fold.h) with no lock held — and validate it structurally when
+// check::DebugValidationEnabled() — then, under the graph mutex, install it,
 // advance the epoch, and report the fold's DirtyLabels so the serve layer
 // can invalidate exactly the affected cached plans. A delta whose base is
 // no longer current by then is rejected as stale — the caller re-acquires

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "graph/vertex_ranges.h"
 
 namespace cfl::dyn {
 
@@ -20,7 +21,6 @@ class GraphFolder {
         << " FoldDelta: delta is bound to a different base graph";
 
     Graph g;
-    const uint32_t old_n = base_.NumVertices();
     const uint32_t n = delta_.NewVertices();
 
     // Labels: base labels plus the batch's appended vertices.
@@ -30,31 +30,37 @@ class GraphFolder {
       g.labels_.push_back(delta_.AddedVertexLabel(i));
     }
 
-    // CSR in one appending pass: untouched vertices block-copy their base
-    // slices; touched vertices take the delta merge.
+    // CSR in one appending pass over the touched list: each untouched id
+    // range copies its base slice whole and shifts its offsets; touched
+    // vertices (batch-added ids among them) take the delta merge.
     g.offsets_.assign(n + 1, 0);
-    g.neighbors_.reserve(base_.neighbors_.size() + delta_.AddedEdges() * 2);
+    g.neighbors_.reserve(base_.neighbors_.size() + delta_.AddedEdges() * 2 -
+                         delta_.RemovedEdges() * 2);
     std::vector<VertexId> merged;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (v < old_n && !delta_.IsTouched(v)) {
-        std::span<const VertexId> adj = base_.Neighbors(v);
-        g.neighbors_.insert(g.neighbors_.end(), adj.begin(), adj.end());
-      } else {
-        delta_.MergedNeighbors(v, &merged);
-        g.neighbors_.insert(g.neighbors_.end(), merged.begin(), merged.end());
-      }
-      g.offsets_[v + 1] = g.neighbors_.size();
-    }
+    ForEachVertexRange(
+        n, delta_.Touched(),
+        [&](uint32_t begin, uint32_t end) {
+          g.neighbors_.insert(
+              g.neighbors_.end(),
+              base_.neighbors_.begin() + base_.offsets_[begin],
+              base_.neighbors_.begin() + base_.offsets_[end]);
+          ShiftOffsets(base_.offsets_.data(), begin, end, g.offsets_.data());
+        },
+        [&](VertexId v) {
+          delta_.MergedNeighbors(v, &merged);
+          g.neighbors_.insert(g.neighbors_.end(), merged.begin(),
+                              merged.end());
+          g.offsets_[v + 1] = g.neighbors_.size();
+        });
 
     // Plain graphs only (no loops, no multiplicities — delta.cc rejects
     // both), so the edge count is pure arithmetic.
     g.num_edges_ =
         base_.NumEdges() + delta_.AddedEdges() - delta_.RemovedEdges();
 
-    std::vector<uint8_t> affected = g.DeriveIndexes(&base_, delta_.Touched());
-    if (dirty != nullptr) {
-      ComputeDirty(g, affected, dirty);
-    }
+    std::vector<VertexId> mnd_recomputed =
+        g.DeriveIndexes(&base_, delta_.Touched());
+    if (dirty != nullptr) ComputeDirty(g, mnd_recomputed, dirty);
     return g;
   }
 
@@ -62,13 +68,12 @@ class GraphFolder {
   // Dirty labels: labels of touched vertices, plus labels of untouched
   // vertices whose mnd moved (their candidate memberships can flip under
   // the paper's mnd pruning even though their own adjacency is unchanged).
-  void ComputeDirty(const Graph& g, const std::vector<uint8_t>& affected,
+  // Only the untouched vertices DeriveIndexes recomputed can have moved.
+  void ComputeDirty(const Graph& g, std::span<const VertexId> mnd_recomputed,
                     DirtyLabels* dirty) {
     dirty->labels.clear();
     for (VertexId t : delta_.Touched()) dirty->labels.push_back(g.label(t));
-    const uint32_t old_n = base_.NumVertices();
-    for (uint32_t v = 0; v < old_n; ++v) {
-      if (!affected[v] || delta_.IsTouched(v)) continue;
+    for (VertexId v : mnd_recomputed) {
       if (g.MaxNeighborDegree(v) != base_.MaxNeighborDegree(v)) {
         dirty->labels.push_back(g.label(v));
       }

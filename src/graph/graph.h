@@ -269,16 +269,16 @@ class Graph {
   // hub rows — from the CSR, labels_ and multiplicity_ (derived_index.cc).
   // Called once, on a Graph whose derived fields are still
   // default-constructed. With `base == nullptr` every vertex is derived.
-  // Otherwise `*this` is `base` after a fold: `touched` lists the vertices
-  // whose adjacency changed (every id >= base->NumVertices() among them);
-  // they are derived from their new adjacency, and every other vertex
-  // copies its runs, NLF, NLF mask, degree and hub row from `base`, as do
-  // the label index (unless a vertex was added) and the sorted degrees of
-  // untouched vertices. Returns the vertices whose mnd was recomputed (a
-  // byte per vertex): the touched set and its new neighbours, or every
-  // vertex without a base.
-  std::vector<uint8_t> DeriveIndexes(const Graph* base,
-                                     std::span<const VertexId> touched);
+  // Otherwise `*this` is `base` after a fold: `touched` lists, ascending,
+  // the vertices whose adjacency changed (every id >= base->NumVertices()
+  // among them); they are derived from their new adjacency, and every
+  // other vertex copies its runs, NLF, NLF mask, degree, mnd and hub row
+  // from `base`, as do the label index (unless a vertex was added) and the
+  // sorted degrees of untouched vertices. Returns the untouched vertices
+  // whose mnd was recomputed, ascending: the touched set's new neighbours
+  // (none without a base).
+  std::vector<VertexId> DeriveIndexes(const Graph* base,
+                                      std::span<const VertexId> touched);
 
   bool HubBit(uint32_t row, VertexId w) const {
     return (hub_bits_[row * hub_words_per_row_ + (w >> 6)] >>

@@ -61,14 +61,13 @@ PlanCache::Hit PlanCache::Find(const Graph& query) {
   return {};
 }
 
-std::shared_ptr<const PreparedQuery> PlanCache::Insert(const Graph& query,
-                                                       PreparedQuery plan,
-                                                       uint64_t epoch) {
+std::shared_ptr<const PreparedQuery> PlanCache::Insert(
+    std::shared_ptr<const Graph> query, PreparedQuery plan, uint64_t epoch) {
   auto shared = std::make_shared<const PreparedQuery>(std::move(plan));
   if (!enabled()) return shared;
 
-  const uint64_t hash = CanonicalQueryHash(query);
-  const uint64_t bytes = PlanBytes(query, *shared);
+  const uint64_t hash = CanonicalQueryHash(*query);
+  const uint64_t bytes = PlanBytes(*query, *shared);
   if (bytes > max_bytes_) return shared;  // would evict everything: skip
 
   MutexLock lock(mu_);
@@ -79,13 +78,14 @@ std::shared_ptr<const PreparedQuery> PlanCache::Insert(const Graph& query,
   // the caller its own plan uncached.
   auto range = index_.equal_range(hash);
   for (auto it = range.first; it != range.second; ++it) {
-    if (FindIsomorphism(query, *it->second->representative).has_value()) {
+    if (FindIsomorphism(*query, *it->second->representative).has_value()) {
       return shared;
     }
   }
 
-  lru_.push_front(Entry{hash, std::make_shared<const Graph>(query), shared,
-                        bytes, QueryLabels(query), epoch});
+  std::vector<Label> labels = QueryLabels(*query);
+  lru_.push_front(
+      Entry{hash, std::move(query), shared, bytes, std::move(labels), epoch});
   index_.emplace(hash, lru_.begin());
   bytes_ += bytes;
   EvictIfOver();

@@ -98,15 +98,14 @@ class PlanCache {
   Hit Find(const Graph& query) CFL_EXCLUDES(mu_);
 
   // Registers a plan freshly prepared from `query` (identity remap) against
-  // data epoch `epoch`. The cache copies the query as the bucket
+  // data epoch `epoch`. The cache shares `query` as the bucket
   // representative. Returns the shared plan so the caller enumerates from
   // the same object it cached. Oversized plans (> max_bytes), duplicate
   // buckets (a racing insert of an isomorphic query) and plans older than
   // the last committed epoch are passed through uncached.
-  std::shared_ptr<const PreparedQuery> Insert(const Graph& query,
-                                              PreparedQuery plan,
-                                              uint64_t epoch = 0)
-      CFL_EXCLUDES(mu_);
+  std::shared_ptr<const PreparedQuery> Insert(
+      std::shared_ptr<const Graph> query, PreparedQuery plan,
+      uint64_t epoch = 0) CFL_EXCLUDES(mu_);
 
   // Records `epoch` as committed and drops every entry whose query label
   // set intersects `dirty`, the batch that made it; returns the number

@@ -309,12 +309,14 @@ bool QueryServer::HandleQuery(int fd, LineReader& reader,
     // Prepare on this session thread with a matcher over the snapshot (it
     // costs one |V|-sized count array), under no lock. Insert leaves the
     // plan uncached if a batch committed since the snapshot (plan_cache.h);
-    // it is still correct for this query, by snapshot isolation.
+    // it is still correct for this query, by snapshot isolation. The parsed
+    // query moves into the one shared graph the cache entry and this
+    // request's enumeration both hold.
+    plan_graph = std::make_shared<const Graph>(std::move(query));
     WallTimer prepare_timer;
-    plan = cache_.Insert(query, CflMatcher(data).Prepare(query),
+    plan = cache_.Insert(plan_graph, CflMatcher(data).Prepare(*plan_graph),
                          snapshot.epoch());
     outcome.prepare_ms = prepare_timer.Lap() * 1e3;
-    plan_graph = std::make_shared<const Graph>(query);
   }
 
   // Streams write each embedding as soon as it is produced, on this

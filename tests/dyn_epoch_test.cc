@@ -223,6 +223,11 @@ void ExpectGraphsEqual(const Graph& folded, const Graph& rebuilt) {
   ASSERT_EQ(folded.NumLabels(), rebuilt.NumLabels());
   ASSERT_EQ(folded.HasHubIndex(), rebuilt.HasHubIndex());
   ASSERT_EQ(folded.HubDegreeThreshold(), rebuilt.HubDegreeThreshold());
+  // Every array is sized exactly, so the footprints agree to the byte.
+  // MemoryBytes() sums capacities: this relies on libstdc++ allocating
+  // exactly on copy, assign and a resize after a matching reserve, which
+  // the standard does not promise; the content checks below do not.
+  ASSERT_EQ(folded.MemoryBytes(), rebuilt.MemoryBytes());
   const uint32_t n = folded.NumVertices();
   for (VertexId v = 0; v < n; ++v) {
     ASSERT_EQ(folded.label(v), rebuilt.label(v)) << v;
@@ -400,12 +405,215 @@ TEST(FoldDeltaTest, FoldedHubRowsMatchFromScratchRebuild) {
     for (VertexId h = 0; h < kHubs; ++h) {
       crossed_up += !base.IsHub(h) && folded.IsHub(h);
       crossed_down += base.IsHub(h) && !folded.IsHub(h);
-      copied_rows += base.IsHub(h) && folded.IsHub(h) && !delta.IsTouched(h);
+      copied_rows += base.IsHub(h) && folded.IsHub(h) &&
+                     !std::binary_search(delta.Touched().begin(),
+                                         delta.Touched().end(), h);
     }
   }
   EXPECT_GT(crossed_up, 0u);
   EXPECT_GT(crossed_down, 0u);
   EXPECT_GT(copied_rows, 0u);
+}
+
+// ---- range boundaries of the touched-list fold ---------------------------
+
+// Adds (u, v) if absent, removes it if present, in both delta and model.
+void Toggle(VertexId u, VertexId v, GraphDelta* delta, Model* model) {
+  if (model->HasEdge(u, v)) {
+    ASSERT_TRUE(delta->RemoveEdge(u, v)) << delta->error();
+    model->RemoveEdge(u, v);
+  } else {
+    ASSERT_TRUE(delta->AddEdge(u, v)) << delta->error();
+    model->AddEdge(u, v);
+  }
+}
+
+// The dirty labels by definition: every touched vertex's label, plus the
+// label of every base vertex whose mnd moved.
+std::vector<Label> BruteForceDirtyLabels(const Graph& base,
+                                         const Graph& folded,
+                                         const GraphDelta& delta) {
+  std::vector<Label> labels;
+  for (VertexId t : delta.Touched()) labels.push_back(folded.label(t));
+  for (VertexId v = 0; v < base.NumVertices(); ++v) {
+    if (base.MaxNeighborDegree(v) != folded.MaxNeighborDegree(v)) {
+      labels.push_back(base.label(v));
+    }
+  }
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  return labels;
+}
+
+// Seals and folds `delta`, then checks the result against a rebuild of
+// `model` and the dirty labels against their brute-force definition.
+Graph FoldAndCheck(const Graph& base, GraphDelta* delta, const Model& model) {
+  delta->Seal();
+  DirtyLabels dirty;
+  Graph folded = FoldDelta(base, *delta, &dirty);
+  ValidationResult valid = ValidateGraph(folded);
+  EXPECT_TRUE(valid.ok) << valid.error;
+  ExpectGraphsEqual(folded, model.Rebuild());
+  EXPECT_EQ(dirty.labels, BruteForceDirtyLabels(base, folded, *delta));
+  return folded;
+}
+
+// Fold == rebuild for batches that put the untouched id ranges' edges where
+// an off-by-one would show: touched ids at both ends, runs of adjacent
+// touched ids, every id touched, only batch-added ids touched, tombstones,
+// and ops that cancel to nothing.
+TEST(FoldDeltaTest, TouchedRangeBoundariesMatchRebuild) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE(seed);
+    const Graph base = SmallBase(3000 + seed);
+    const uint32_t n = base.NumVertices();
+    Rng rng(5000 + seed);
+    {  // The first and the last id, alone and beside random ops.
+      SCOPED_TRACE("ends");
+      Model model(base);
+      GraphDelta delta(base);
+      Toggle(0, n - 1, &delta, &model);
+      if (seed % 2 == 1) Mutate(rng, 4, &delta, &model);
+      FoldAndCheck(base, &delta, model);
+    }
+    {  // Four adjacent ids: no untouched range between them.
+      SCOPED_TRACE("adjacent");
+      Model model(base);
+      GraphDelta delta(base);
+      const auto k = static_cast<VertexId>(rng.Below(n - 3));
+      Toggle(k, k + 1, &delta, &model);
+      Toggle(k + 2, k + 3, &delta, &model);
+      FoldAndCheck(base, &delta, model);
+      EXPECT_EQ(delta.Touched().size(), 4u);
+    }
+    {  // Every id: no untouched range at all.
+      SCOPED_TRACE("all");
+      Model model(base);
+      GraphDelta delta(base);
+      for (VertexId v = 0; v < n; ++v) {
+        Toggle(v, (v + 1) % n, &delta, &model);
+      }
+      FoldAndCheck(base, &delta, model);
+      EXPECT_EQ(delta.Touched().size(), n);
+    }
+    {  // Only batch-added ids: the whole base is one untouched range.
+      SCOPED_TRACE("added only");
+      Model model(base);
+      GraphDelta delta(base);
+      std::vector<VertexId> added;
+      for (uint32_t i = 0; i < 1 + seed % 3; ++i) {
+        const auto l = static_cast<Label>(rng.Below(6));
+        VertexId id = kInvalidVertex;
+        ASSERT_TRUE(delta.AddVertex(l, &id)) << delta.error();
+        ASSERT_EQ(id, model.AddVertex(l));
+        added.push_back(id);
+      }
+      if (added.size() >= 2) Toggle(added[0], added[1], &delta, &model);
+      FoldAndCheck(base, &delta, model);
+      EXPECT_EQ(delta.Touched().front(), n);
+    }
+    {  // Tombstones at both ends and inside.
+      SCOPED_TRACE("tombstones");
+      Model model(base);
+      GraphDelta delta(base);
+      for (VertexId v : {VertexId{0}, n - 1, VertexId{n / 2}}) {
+        ASSERT_TRUE(delta.RemoveVertex(v)) << delta.error();
+        model.RemoveVertex(v);
+      }
+      FoldAndCheck(base, &delta, model);
+    }
+    {  // An edge removed and re-added, and one added and removed, touch
+       // nothing; on odd seeds one real op rides along.
+      SCOPED_TRACE("net zero");
+      Model model(base);
+      GraphDelta delta(base);
+      const auto [u, v] = model.edge_list[rng.Below(model.edge_list.size())];
+      Toggle(u, v, &delta, &model);
+      Toggle(u, v, &delta, &model);
+      VertexId a = 0;
+      VertexId b = 0;
+      while (a == b || model.HasEdge(a, b)) {
+        a = static_cast<VertexId>(rng.Below(n));
+        b = static_cast<VertexId>(rng.Below(n));
+      }
+      Toggle(a, b, &delta, &model);
+      Toggle(a, b, &delta, &model);
+      if (seed % 2 == 1) Toggle(a, b, &delta, &model);
+      FoldAndCheck(base, &delta, model);
+      EXPECT_EQ(delta.Touched().size(), seed % 2 == 1 ? 2u : 0u);
+    }
+  }
+}
+
+// A base with no vertex at all: every id of the fold is batch-added.
+TEST(FoldDeltaTest, FoldOntoEmptyBaseMatchesRebuild) {
+  const Graph base = MakeGraph({}, {});
+  Model model(base);
+  GraphDelta delta(base);
+  for (Label l : {2u, 0u, 2u, 1u}) {
+    VertexId id = kInvalidVertex;
+    ASSERT_TRUE(delta.AddVertex(l, &id)) << delta.error();
+    ASSERT_EQ(id, model.AddVertex(l));
+  }
+  Toggle(0, 1, &delta, &model);
+  Toggle(1, 3, &delta, &model);
+  FoldAndCheck(base, &delta, model);
+}
+
+// Hub rows under batches that keep the stride, in two shapes: a hub edited
+// without leaving the hub set (its row re-derived, the other hubs' rows
+// copied from the base), and a heavy vertex pushed over the threshold,
+// which changes the hub set and shifts the later hubs' rows. The sweep
+// asserts that it produced both shapes.
+TEST(FoldDeltaTest, HubRowsUnderSameStrideBatchesMatchRebuild) {
+  constexpr uint32_t kN = 318;
+  constexpr uint32_t kHubs = 6;
+  uint32_t edited_hub_batches = 0;
+  uint32_t new_hub_batches = 0;
+  for (uint64_t trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    const Graph base = HubBase(7000 + trial, kN, kHubs);
+    ASSERT_TRUE(base.HasHubIndex());
+    Rng rng(7100 + trial);
+    for (const bool cross : {false, true}) {
+      Model model(base);
+      GraphDelta delta(base);
+      for (VertexId h = 0; h < kHubs; ++h) {
+        const uint32_t degree = base.StructuralDegree(h);
+        if (!cross && base.IsHub(h) && degree > Graph::kHubDegreeThreshold) {
+          // One edge out, one edge in: h stays a hub.
+          const VertexId w = *std::next(model.adj[h].begin(),
+                                        rng.Below(model.adj[h].size()));
+          if (w >= kHubs) Toggle(h, w, &delta, &model);
+        } else if (cross && !base.IsHub(h)) {
+          // Up to the threshold: h joins the hub set.
+          while (model.adj[h].size() < Graph::kHubDegreeThreshold) {
+            const auto w = static_cast<VertexId>(rng.Below(kN));
+            if (w >= kHubs && !model.HasEdge(h, w)) {
+              Toggle(h, w, &delta, &model);
+            }
+          }
+        }
+      }
+      for (uint32_t i = 0; i < 4; ++i) {
+        VertexId a = kHubs + static_cast<VertexId>(rng.Below(kN - kHubs));
+        VertexId b = kHubs + static_cast<VertexId>(rng.Below(kN - kHubs));
+        if (a != b) Toggle(a, b, &delta, &model);
+      }
+      const Graph folded = FoldAndCheck(base, &delta, model);
+      if (HasFatalFailure()) return;
+      bool same_hubs = true;
+      bool touched_hub = false;
+      for (VertexId v = 0; v < kN; ++v) {
+        same_hubs = same_hubs && base.IsHub(v) == folded.IsHub(v);
+      }
+      for (VertexId t : delta.Touched()) touched_hub |= folded.IsHub(t);
+      edited_hub_batches += same_hubs && touched_hub;
+      new_hub_batches += !same_hubs;
+    }
+  }
+  EXPECT_GT(edited_hub_batches, 0u);
+  EXPECT_GT(new_hub_batches, 0u);
 }
 
 TEST(FoldDeltaTest, TombstonesKeepLabelAndLoseEdges) {

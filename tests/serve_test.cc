@@ -45,6 +45,11 @@ using serve::PlanCache;
 using testing::Figure3Data;
 using testing::Figure3Query;
 
+// A plan cache entry shares its representative query graph.
+std::shared_ptr<const Graph> Share(const Graph& q) {
+  return std::make_shared<const Graph>(q);
+}
+
 // Random vertex renumbering of `q` — the workload the canonical hash must
 // collapse.
 Graph Relabel(const Graph& q, Rng& rng) {
@@ -156,7 +161,7 @@ TEST(PlanCacheTest, IsomorphicRelabelsShareOneEntry) {
   Graph q = TestQueries(data, 1, 8, 21)[0];
 
   EXPECT_EQ(cache.Find(q).plan, nullptr);  // cold
-  auto plan = cache.Insert(q, matcher.Prepare(q));
+  auto plan = cache.Insert(Share(q), matcher.Prepare(q));
   ASSERT_NE(plan, nullptr);
 
   Rng rng(5);
@@ -180,7 +185,7 @@ TEST(PlanCacheTest, CacheHitResultsAreBitIdenticalToColdPrepare) {
   Rng rng(31);
 
   for (const Graph& q : TestQueries(data, 6, 8, 41)) {
-    auto inserted = cache.Insert(q, matcher.Prepare(q));
+    auto inserted = cache.Insert(Share(q), matcher.Prepare(q));
     ASSERT_NE(inserted, nullptr);
     Graph relabeled = Relabel(q, rng);
     PlanCache::Hit hit = cache.Find(relabeled);
@@ -207,13 +212,13 @@ TEST(PlanCacheTest, EvictsLruUnderTinyByteBudget) {
 
   // Size one plan, then budget for roughly two of them.
   PlanCache probe(1ull << 30);
-  probe.Insert(queries[0], matcher.Prepare(queries[0]));
+  probe.Insert(Share(queries[0]), matcher.Prepare(queries[0]));
   const uint64_t one_plan = probe.Stats().bytes;
   ASSERT_GT(one_plan, 0u);
 
   PlanCache cache(one_plan * 2 + one_plan / 2);
   for (const Graph& q : queries) {
-    cache.Insert(q, matcher.Prepare(q));
+    cache.Insert(Share(q), matcher.Prepare(q));
   }
   serve::PlanCacheStats stats = cache.Stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -224,7 +229,8 @@ TEST(PlanCacheTest, EvictsLruUnderTinyByteBudget) {
 
   // A plan bigger than the whole budget is served uncached.
   PlanCache tiny(1);
-  EXPECT_NE(tiny.Insert(queries[0], matcher.Prepare(queries[0])), nullptr);
+  EXPECT_NE(tiny.Insert(Share(queries[0]), matcher.Prepare(queries[0])),
+            nullptr);
   EXPECT_EQ(tiny.Stats().entries, 0u);
 }
 
@@ -236,8 +242,8 @@ TEST(PlanCacheTest, InvalidateLabelsDropsOnlyIntersectingEntries) {
   // Two cached plans with disjoint label signatures.
   Graph q01 = MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}});
   Graph q23 = MakeGraph({2, 3, 2}, {{0, 1}, {1, 2}});
-  ASSERT_NE(cache.Insert(q01, matcher.Prepare(q01)), nullptr);
-  ASSERT_NE(cache.Insert(q23, matcher.Prepare(q23)), nullptr);
+  ASSERT_NE(cache.Insert(Share(q01), matcher.Prepare(q01)), nullptr);
+  ASSERT_NE(cache.Insert(Share(q23), matcher.Prepare(q23)), nullptr);
   ASSERT_EQ(cache.Stats().entries, 2u);
 
   // A batch that dirtied label 3 must drop exactly the {2,3} plan.
@@ -273,13 +279,13 @@ TEST(PlanCacheTest, InsertOlderThanLastCommitIsNotCached) {
   EXPECT_EQ(cache.InvalidateLabels(dirty, 3), 0u);
 
   std::shared_ptr<const PreparedQuery> stale =
-      cache.Insert(q01, matcher.Prepare(q01), 2);
+      cache.Insert(Share(q01), matcher.Prepare(q01), 2);
   ASSERT_NE(stale, nullptr);  // still returned for its own query
   EXPECT_EQ(cache.Stats().entries, 0u);
   EXPECT_EQ(cache.Find(q01).plan, nullptr);
 
   // Plans prepared at (or after) the committed epoch are cached.
-  ASSERT_NE(cache.Insert(q23, matcher.Prepare(q23), 3), nullptr);
+  ASSERT_NE(cache.Insert(Share(q23), matcher.Prepare(q23), 3), nullptr);
   PlanCache::Hit hit = cache.Find(q23);
   ASSERT_NE(hit.plan, nullptr);
   EXPECT_EQ(hit.epoch, 3u);
@@ -292,7 +298,7 @@ TEST(PlanCacheTest, ZeroBudgetDisablesCaching) {
   PlanCache cache(0);
   EXPECT_FALSE(cache.enabled());
   Graph q = TestQueries(data, 1, 8, 71)[0];
-  auto plan = cache.Insert(q, matcher.Prepare(q));
+  auto plan = cache.Insert(Share(q), matcher.Prepare(q));
   ASSERT_NE(plan, nullptr);  // pass-through still returns the plan
   EXPECT_EQ(cache.Find(q).plan, nullptr);
   EXPECT_EQ(cache.Stats().entries, 0u);

@@ -181,8 +181,9 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
       {"harness",
        {"graph", "decomp", "cpi", "order", "validate", "match"}},
       // Dynamic graphs sit beside the engines: deltas, folds and epoch
-      // snapshots need only the CSR graph and its builder.
-      {"dyn", {"graph"}},
+      // snapshots need only the CSR graph and its builder, plus the graph
+      // validator that debug builds run on every folded epoch.
+      {"dyn", {"graph", "validate"}},
       // The serving stack sits at the top: it drives the match drivers
       // (counting and streaming) over the shared task pool, and owns the
       // epoch-versioned data graph.
