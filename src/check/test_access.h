@@ -69,18 +69,15 @@ struct CpiTestAccess {
   }
 
   // Mutable view of u's candidate slice.
-  // cfl-lint: allow(span-escape) deliberate test-only pierce of a frozen Cpi
   static std::span<VertexId> Candidates(Cpi& cpi, VertexId u) {
     return {cpi.cand_arena_.data() + cpi.cand_offsets_[u],
             cpi.cand_arena_.data() + cpi.cand_offsets_[u + 1]};
   }
   // Mutable views of u's adjacency offset / entry slices.
-  // cfl-lint: allow(span-escape) deliberate test-only pierce of a frozen Cpi
   static std::span<uint32_t> AdjOffsets(Cpi& cpi, VertexId u) {
     return {cpi.adj_off_arena_.data() + cpi.adj_off_start_[u],
             cpi.adj_off_arena_.data() + cpi.adj_off_start_[u + 1]};
   }
-  // cfl-lint: allow(span-escape) deliberate test-only pierce of a frozen Cpi
   static std::span<uint32_t> AdjEntries(Cpi& cpi, VertexId u) {
     return {cpi.adj_entry_arena_.data() + cpi.adj_entry_start_[u],
             cpi.adj_entry_arena_.data() + cpi.adj_entry_start_[u + 1]};

@@ -17,14 +17,14 @@
 //
 //   * cfl::Mutex / cfl::MutexLock / cfl::CondVar — annotated wrappers over
 //     the std primitives. Library code must use these instead of raw
-//     std::mutex / std::condition_variable members (tools/cfl_lint rule
+//     std::mutex / std::condition_variable members (tools/cfl_analyze rule
 //     `raw-mutex`): a raw member is invisible to the analysis, so a missed
 //     lock around a CFL_GUARDED_BY field would compile silently.
 //
 //   * CFL_IMMUTABLE_AFTER_BUILD — marker for classes whose instances are
 //     frozen once construction/build completes (Graph, Cpi, PreparedQuery)
 //     and may therefore be shared by reference across enumeration workers
-//     with no synchronization at all. cfl_lint (rule `immutable-class`)
+//     with no synchronization at all. cfl_analyze (rule `immutable-class`)
 //     statically enforces what the marker promises: no non-const public
 //     methods (constructors and assignment excepted — freezing happens at
 //     build, not at birth), no `mutable` members, no `const_cast` to pierce
@@ -85,7 +85,7 @@
   CFL_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 // Marks a class frozen after construction/build: safe to share by reference
-// across threads with no synchronization. Enforced by tools/cfl_lint
+// across threads with no synchronization. Enforced by tools/cfl_analyze
 // (rule `immutable-class`); expands to a harmless declaration so it can sit
 // first in the class body like a contract banner.
 #define CFL_IMMUTABLE_AFTER_BUILD(class_name) \

@@ -34,7 +34,7 @@
 // synchronization (match/count_driver.h relies on this). Keep it that
 // way: lazy caches inside const accessors would silently break parallel
 // counting. The CFL_IMMUTABLE_AFTER_BUILD marker below has
-// tools/cfl_lint enforce the contract (no non-const public methods, no
+// tools/cfl_analyze enforce the contract (no non-const public methods, no
 // mutable members, no const_cast); see check/thread_annotations.h.
 
 #ifndef CFL_CPI_CPI_H_

@@ -126,14 +126,11 @@ class GraphDelta {
 
   // Vertices whose adjacency changed (endpoints of every net edge op,
   // every tombstone, every added vertex), ascending. Sealed only.
-  // cfl-analyze: allow(span-escape) views into the sealed (frozen) delta
   std::span<const VertexId> Touched() const;
 
   // Net added / removed neighbors of `v`, sorted by (post-delta label, id).
   // Empty spans for untouched vertices. Sealed only.
-  // cfl-analyze: allow(span-escape) views into the sealed (frozen) delta
   std::span<const VertexId> Added(VertexId v) const;
-  // cfl-analyze: allow(span-escape) views into the sealed (frozen) delta
   std::span<const VertexId> Removed(VertexId v) const;
 
   // The on-the-fly merge: neighbors of `v` with label `l` in the

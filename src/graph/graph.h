@@ -46,7 +46,7 @@
 // concurrent enumeration workers — the counting driver
 // (match/count_driver.h) depends on this contract. The
 // CFL_IMMUTABLE_AFTER_BUILD marker below makes the contract machine-checked:
-// tools/cfl_lint rejects non-const public methods, mutable members, and
+// tools/cfl_analyze rejects non-const public methods, mutable members, and
 // const_cast in marked classes (see check/thread_annotations.h).
 
 #ifndef CFL_GRAPH_GRAPH_H_

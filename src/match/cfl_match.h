@@ -57,7 +57,7 @@ struct MatchOptions {
 // Once built, a PreparedQuery is immutable and reads only const state of
 // the data graph, so one instance can be shared by reference across any
 // number of concurrent enumeration shards (see match/count_driver.h).
-// The marker makes tools/cfl_lint reject mutations sneaking in as methods,
+// The marker makes tools/cfl_analyze reject mutations sneaking in as methods,
 // mutable members, or const_cast (rule `immutable-class`); workers must
 // treat the public fields as read-only after Prepare returns.
 struct PreparedQuery {

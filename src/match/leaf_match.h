@@ -87,7 +87,7 @@ class LeafMatcher {
   // allocate. LeafMatcher is consequently not thread-safe; each
   // counting-driver shard constructs its own (cheap: the grouping vectors
   // plus this scratch), all pointing at the one shared immutable CPI.
-  // cfl-lint: allow(mutable-member) per-call scratch; never shared — each counting-driver shard owns a private LeafMatcher (DESIGN.md §7)
+  // cfl-analyze: allow(mutable-member) per-call scratch; never shared — each counting-driver shard owns a private LeafMatcher (DESIGN.md §7)
   mutable std::vector<std::vector<std::pair<VertexId, uint32_t>>> avail_;
 };
 

@@ -2,7 +2,7 @@
 //
 // Every wall-clock read in src/, bench/, and tools/ goes through this header
 // (or through src/harness/stopwatch.h, the pre-existing harness-side timer):
-// tools/cfl_lint rule `raw-clock` rejects direct std::chrono::steady_clock
+// tools/cfl_analyze rule `raw-clock` rejects direct std::chrono::steady_clock
 // use anywhere else. Centralizing the reads keeps phase accounting honest —
 // a timer that bypasses the stats layer produces numbers MatchStats cannot
 // reconcile against total wall time — and gives one place to swap the clock

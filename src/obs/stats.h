@@ -99,6 +99,8 @@ struct EnumStats {
 
   // Accumulates `other` into this shard-sum (max for max_depth).
   void Merge(const EnumStats& other);
+
+  bool operator==(const EnumStats&) const = default;
 };
 
 // Prepare-side counters recorded by CpiBuilder::Build. All vectors are
@@ -115,6 +117,8 @@ struct CpiBuildStats {
 
   uint64_t TotalGenerated() const;
   uint64_t TotalPruned() const;
+
+  bool operator==(const CpiBuildStats&) const = default;
 };
 
 // Everything one Match call recorded. Attached to MatchResult; also carried

@@ -7,7 +7,7 @@
 // unless a cap or deadline cuts the run short. The shared structures
 // (Graph, Cpi, PreparedQuery) carry CFL_IMMUTABLE_AFTER_BUILD and
 // everything shared and mutable during a run is a std::atomic; Clang Thread
-// Safety Analysis plus tools/cfl_lint enforce both.
+// Safety Analysis plus tools/cfl_analyze enforce both.
 
 #ifndef CFL_PARALLEL_PARALLEL_MATCH_H_
 #define CFL_PARALLEL_PARALLEL_MATCH_H_

@@ -5,7 +5,7 @@
 namespace fix {
 
 uint32_t Bounded(const std::vector<int>& v) {
-  // cfl-lint: allow(narrowing) fixture: size bounded by construction
+  // cfl-analyze: allow(narrowing) fixture: size bounded by construction
   return static_cast<uint32_t>(v.size());
 }
 

@@ -3,10 +3,8 @@
 #ifndef FIX_CHECK_CHECK_H_
 #define FIX_CHECK_CHECK_H_
 
+#define CFL_CHECK(cond)
 #define CFL_IMMUTABLE_AFTER_BUILD(cls)
-#define CFL_SPAN_INTO(owner)
-#define CFL_POOL_SAFE
-#define CFL_STATS_ONLY(...)
 #define CFL_LOCK_LEVEL(n)
 #define CFL_ATOMIC_INTENT(intent)
 

@@ -1,6 +1,6 @@
-// Fixture: a frozen index (valid CFL_SPAN_INTO target) and a mutable
-// scratch structure (an invalid one — mutation self-test seed 4 retargets
-// an annotation at it).
+// Fixture: a frozen index, the mutable scratch its construction reuses,
+// and a function that only reads its graph (mutation seeds make the
+// scratch `mutable` and cast the graph's constness away).
 #ifndef FIX_CPI_CPI_H_
 #define FIX_CPI_CPI_H_
 
@@ -30,6 +30,11 @@ class Scratch {
  private:
   std::vector<uint32_t> buf_;
 };
+
+inline uint64_t CountEdges(const Graph& g) {
+  const Graph& graph = g;
+  return graph.NumEdges();
+}
 
 }  // namespace fix
 

@@ -1,11 +1,10 @@
-// Fixture: an immutable-after-build structure. False-positive regression
-// for span-escape — views into a frozen arena are fine, both as members and
-// as method returns.
+// Fixture: an immutable-after-build structure. Constructors, assignment
+// and const accessors are what a frozen class may expose (mutation seeds
+// strip a const and swap an include for a banned one).
 #ifndef FIX_GRAPH_GRAPH_H_
 #define FIX_GRAPH_GRAPH_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "check/check.h"
@@ -16,13 +15,14 @@ class Graph {
  public:
   CFL_IMMUTABLE_AFTER_BUILD(Graph);
 
-  std::span<const uint32_t> Neighbors() const {
-    return {edges_.data(), edges_.size()};
-  }
+  Graph() = default;
+  explicit Graph(std::vector<uint32_t> edges) : edges_(edges) {}
+  Graph& operator=(const Graph&) = default;
+
+  uint64_t NumEdges() const { return edges_.size(); }
 
  private:
   std::vector<uint32_t> edges_;
-  std::span<const uint32_t> cached_;  // fine: the owner is frozen
 };
 
 }  // namespace fix

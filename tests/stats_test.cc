@@ -18,14 +18,17 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/compress.h"
 #include "decomp/bfs_tree.h"
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "match/cfl_match.h"
+#include "match/enumerator.h"
 #include "parallel/parallel_match.h"
 #include "test_util.h"
 
@@ -362,7 +365,11 @@ TEST(StatsEdgeCaseTest, LimitAtWorkerBoundary) {
 // With CFL_STATS=OFF every field stays zero-initialized (the recording
 // sites compile away); with ON a non-trivial run populates them. The same
 // test compiles both ways — that is the point of keeping the struct
-// unconditional.
+// unconditional. Every match path (serial, 4 threads, streaming, a
+// compressed graph) and the enumerator's own shard are checked: with stats
+// off each EnumStats / CpiBuildStats equals its value-initialised state,
+// so a recording site left outside CFL_STATS_ONLY whose effect reaches a
+// result fails here; with stats on each one records.
 TEST(StatsGateTest, FieldsMatchCompileTimeGate) {
   Graph g = Figure3Data();
   Graph q = Figure3Query();
@@ -393,6 +400,33 @@ TEST(StatsGateTest, FieldsMatchCompileTimeGate) {
     totals.Add(s);
     EXPECT_EQ(totals.core_visits, 0u);
   }
+
+  ParallelCflMatcher parallel(g, 4);
+  MatchOptions streaming;
+  streaming.on_embedding = [](const Embedding&) { return true; };
+  CompressedGraph compressed = CompressBySE(testing::Figure7Data());
+  ASSERT_TRUE(compressed.graph.HasMultiplicities());
+  CflMatcher compressed_matcher(compressed.graph);
+  const std::pair<const char*, MatchResult> runs[] = {
+      {"serial", result},
+      {"4 threads", parallel.Match(q)},
+      {"streaming", matcher.Match(q, streaming)},
+      {"compressed", compressed_matcher.Match(testing::Figure7Query())},
+  };
+  for (const auto& [name, run] : runs) {
+    EXPECT_EQ(run.stats.enumeration == EnumStats{}, !obs::kStatsEnabled)
+        << name;
+    EXPECT_EQ(run.stats.cpi == CpiBuildStats{}, !obs::kStatsEnabled)
+        << name;
+  }
+
+  // The shard the enumerator records into, read before anything merges it.
+  PreparedQuery prepared = matcher.Prepare(q);
+  EnumeratorState state(q.NumVertices(), g.NumVertices());
+  Deadline deadline(0.0);
+  EnumeratePartial(g, prepared.cpi, prepared.order.steps, state, deadline,
+                   [] { return true; });
+  EXPECT_EQ(state.stats == EnumStats{}, !obs::kStatsEnabled);
 }
 
 // EnumStats::Merge is the parallel aggregation primitive: sums everywhere,

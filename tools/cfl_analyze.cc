@@ -1,48 +1,53 @@
-// cfl_analyze: the whole-program analyzer for the CFL-Match tree.
+// cfl_analyze: the project's static analyzer for the CFL-Match tree.
 //
-// Where tools/cfl_lint.cc checks each file in isolation, cfl_analyze lexes
-// every translation unit of the program into one symbol/include/call index
-// (driven by the build's compile_commands.json when given) and enforces the
-// structural rules a single-file linter cannot see:
+// A self-contained token-level analyzer (no libclang, no compilation
+// database — it builds before anything else and runs anywhere the tree
+// checks out). It lexes C++ just far enough to be sound for this tree's own
+// conventions. One walk loads every .h/.cc/.cpp under DIR/src, DIR/bench
+// and DIR/tools; the single-file rules run over all of them and the
+// whole-program rules over src/ as one program. Clang Thread Safety
+// Analysis and clang-tidy check what the compiler can see; these rules
+// check the project conventions that make those analyses sound (TSA is
+// blind to a raw std::mutex) and the structure no single TU shows.
 //
-//   layering         src/ modules form an explicit DAG:
-//                        check < obs < graph < {gen, decomp} < cpi < order
-//                              < validate < match < {baseline, parallel,
-//                                harness}
-//                    (check and obs are reachable from anywhere; src/check
-//                    splits into the dependency-free base headers and the
-//                    `validate` sub-module, which sits above the structures
-//                    it validates). Any include edge outside the DAG is a
-//                    back-edge error, and file-level include cycles are
-//                    reported as such.
-//   span-escape      a std::span / std::string_view *class member* can
-//                    outlive the scratch buffer or rebuilt arena it aliases.
-//                    View-typed members (and view-returning methods) are
-//                    forbidden unless the owning class is
-//                    CFL_IMMUTABLE_AFTER_BUILD, or the member carries
-//                    CFL_SPAN_INTO(Owner) naming a type that is marked
-//                    immutable somewhere in the program (the whole-program
-//                    lookup), or an explicit allow.
+// Single-file rules (src/, bench/, tools/):
+//   raw-assert       `assert(` outside src/check/ — use CFL_DCHECK, which
+//                    prints context instead of aborting mutely.
+//   raw-mutex        std::mutex / std::condition_variable (and friends,
+//                    incl. lock_guard/unique_lock/scoped_lock) outside
+//                    src/check/thread_annotations.h — use the annotated
+//                    cfl::Mutex / cfl::MutexLock / cfl::CondVar wrappers so
+//                    Thread Safety Analysis can see the critical sections.
+//   mutable-member   `mutable` anywhere — caches invisible to const are how
+//                    "immutable" structures grow data races; every use needs
+//                    an explicit justification via an allow-comment.
+//   immutable-class  violations inside a CFL_IMMUTABLE_AFTER_BUILD class:
+//                    non-const public methods (constructors, destructors,
+//                    and assignment operators excepted), mutable members.
+//   const-cast       `const_cast` anywhere — piercing constness voids the
+//                    shared-read contracts.
+//   banned-include   library code (src/) including headers it must not:
+//                    <mutex>/<condition_variable>/<shared_mutex> outside
+//                    thread_annotations.h, <thread> outside src/parallel/,
+//                    <iostream> outside src/check/.
+//   raw-clock        `steady_clock` outside src/obs/ and src/harness/ —
+//                    wall-clock reads go through the cfl::obs facade
+//                    (src/obs/clock.h) so every timer is reconcilable with
+//                    the MatchStats phase accounting.
+//   bad-allow        a malformed escape hatch: unknown rule id or missing
+//                    reason.
+//
+// Whole-program rules (src/):
+//   layering         src/ modules form an explicit DAG (AllowedDeps below;
+//                    check and obs are reachable from anywhere). Any include
+//                    edge outside the DAG is a back-edge error, and
+//                    file-level include cycles are reported as such.
 //   narrowing        64->32 index conversions in src/cpi, src/match,
 //                    src/parallel that bypass the checked helpers:
 //                    static_cast<uint32_t> of a size()/offset expression,
 //                    or a 32-bit variable initialized from .size(). Use
 //                    cfl::CheckedU32 (check/narrow.h) or
 //                    CheckedCandidateCount (match/enumerator.h).
-//   worker-noexcept  the TaskPool worker boundary: a task may be invoked
-//                    only through InvokeTask (which converts an escaped
-//                    exception into a contextful CFL_CHECK failure);
-//                    InvokeTask and WorkerLoop themselves must be noexcept
-//                    (they run outside that net); and every src/parallel/-
-//                    defined function called from a lambda handed to
-//                    TaskPool::Submit or ForkJoin must be noexcept or carry
-//                    CFL_POOL_SAFE.
-//   stats-gate       mutations of EnumStats / CpiBuildStats counters
-//                    outside a CFL_STATS_ONLY(...) wrapper: such a site
-//                    would survive -DCFL_STATS=OFF and break the
-//                    "stats-off build is bit-identical" contract. The
-//                    counter field list is read from src/obs/stats.h, so
-//                    new counters are covered automatically.
 //   lock-order       every cfl::Mutex member declares its position in the
 //                    global lock hierarchy with CFL_LOCK_LEVEL(n)
 //                    (check/thread_annotations.h). Nested MutexLock
@@ -59,107 +64,594 @@
 //                    syscall-shaped calls (read/write/poll/accept/...)
 //                    made while a MutexLock is live in the same function.
 //                    Legitimate sites (condvar wait loops release the
-//                    mutex while parked) carry an explicit
-//                    `// cfl-analyze: allow(blocking-under-lock) <reason>`.
+//                    mutex while parked) carry an explicit allow.
 //   atomic-intent    every std::atomic declaration must say what it is for
 //                    via CFL_ATOMIC_INTENT(counter|flag|publish); each
 //                    load/store/fetch_*/exchange use site must spell its
 //                    memory_order explicitly and the order must match the
 //                    declared intent (counter -> relaxed; publish ->
-//                    release store + acquire load, e.g. a pointer to a
-//                    table built once and then read lock-free). A
-//                    defaulted (seq_cst) order is an undeclared intent,
-//                    not a safe harbor.
+//                    release store + acquire load). A defaulted (seq_cst)
+//                    order is an undeclared intent, not a safe harbor.
 //
-// Escape hatch: the same `allow(<rule>) <reason>` directive cfl_lint uses
-// (either directive tag works — the analyzer's own rules conventionally use
-// the cfl-analyze tag), with this tool's rule ids. Malformed directives are
-// `bad-allow` errors here exactly as there.
+// Escape hatch: `// cfl-analyze: allow(<rule>) <reason>` on the offending
+// line or the line directly above suppresses that one rule there. The
+// reason is mandatory; an unknown rule or empty reason is itself a
+// `bad-allow` error, so stale or hand-waving suppressions cannot
+// accumulate.
 //
-// Exit codes: 0 clean, 1 violations, 2 usage/IO error.
+// Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
 //
 // Usage:
-//   cfl_analyze --root DIR [--compdb FILE] [--json]
-// Analyzes every .h/.cc/.cpp under DIR/src as one program. --compdb points
-// at a compile_commands.json; its translation units under DIR/src are
-// cross-checked against the scan (a TU the scan missed is an error, so the
-// analyzer provably covers the program the build sees). --json emits one
-// JSON document instead of gcc-style lines.
+//   cfl_analyze [--root DIR]
+// DIR defaults to the current directory and must contain src/.
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "lint_common.h"
-
 namespace {
 
 namespace fs = std::filesystem;
-using cfl::lint::Allowed;
-using cfl::lint::ClassInfo;
-using cfl::lint::Diagnostic;
-using cfl::lint::FindClasses;
-using cfl::lint::IsIdentChar;
-using cfl::lint::SkipGroup;
-using cfl::lint::SourceFile;
-using cfl::lint::Token;
-using cfl::lint::Tokenize;
 
-using cfl::lint::kAtomicIntent;
-using cfl::lint::kBadAllow;
-using cfl::lint::kBlockingUnderLock;
-using cfl::lint::kLayering;
-using cfl::lint::kLockOrder;
-using cfl::lint::kNarrowing;
-using cfl::lint::kSpanEscape;
-using cfl::lint::kStatsGate;
-using cfl::lint::kWorkerNoexcept;
+// ---- rule ids -----------------------------------------------------------
 
-// ---- program model ------------------------------------------------------
+const char kRawAssert[] = "raw-assert";
+const char kRawMutex[] = "raw-mutex";
+const char kMutableMember[] = "mutable-member";
+const char kImmutableClass[] = "immutable-class";
+const char kConstCast[] = "const-cast";
+const char kBannedInclude[] = "banned-include";
+const char kRawClock[] = "raw-clock";
+const char kBadAllow[] = "bad-allow";
+const char kLayering[] = "layering";
+const char kNarrowing[] = "narrowing";
+const char kLockOrder[] = "lock-order";
+const char kBlockingUnderLock[] = "blocking-under-lock";
+const char kAtomicIntent[] = "atomic-intent";
 
-struct AnalyzedFile {
-  SourceFile src;
-  std::vector<Token> toks;
-  std::string rel;     // path relative to --root, forward slashes
-  std::string module;  // src/<module>/, with the check/validate split
-};
+const std::set<std::string>& KnownRules() {
+  static const std::set<std::string> rules = {
+      kRawAssert,     kRawMutex,     kMutableMember, kImmutableClass,
+      kConstCast,     kBannedInclude, kRawClock,     kBadAllow,
+      kLayering,      kNarrowing,    kLockOrder,     kBlockingUnderLock,
+      kAtomicIntent};
+  return rules;
+}
 
-// One function declaration or definition (token-level heuristic).
-struct FuncDecl {
-  std::string file_rel;
+const char kMarker[] = "CFL_IMMUTABLE_AFTER_BUILD";
+
+// ---- diagnostics --------------------------------------------------------
+
+struct Diagnostic {
+  std::string file;
   int line = 0;
-  bool is_definition = false;
-  bool is_noexcept = false;
-  bool pool_safe = false;  // carries CFL_POOL_SAFE
+  int col = 1;  // 1-based; 1 when the rule has no finer position
+  std::string rule;
+  std::string message;
 };
 
-struct ProgramIndex {
-  // class name -> carries CFL_IMMUTABLE_AFTER_BUILD anywhere in the program
-  std::map<std::string, bool> classes;
-  // function name (last component) -> every decl/def seen
-  std::map<std::string, std::vector<FuncDecl>> functions;
-  // names of variables/members declared with type TaskPool
-  std::set<std::string> pool_vars;
-  // counter fields of the stats structs (from src/obs/stats.h)
-  std::set<std::string> stats_fields;
+bool DiagnosticOrder(const Diagnostic& a, const Diagnostic& b) {
+  if (a.file != b.file) return a.file < b.file;
+  if (a.line != b.line) return a.line < b.line;
+  if (a.col != b.col) return a.col < b.col;
+  return a.rule < b.rule;
+}
+
+// Prints the sorted diagnostics gcc style (`file:line:col: error: [rule]
+// message`) plus a summary line.
+void PrintDiagnostics(std::vector<Diagnostic>& diags, size_t files_scanned) {
+  std::sort(diags.begin(), diags.end(), DiagnosticOrder);
+  std::set<std::string> files_with_errors;
+  for (const Diagnostic& d : diags) {
+    std::cout << d.file << ":" << d.line << ":" << d.col << ": error: ["
+              << d.rule << "] " << d.message << "\n";
+    files_with_errors.insert(d.file);
+  }
+  if (diags.empty()) {
+    std::cout << "cfl_analyze: clean (" << files_scanned << " files)\n";
+  } else {
+    std::cout << "cfl_analyze: " << diags.size() << " error(s) in "
+              << files_with_errors.size() << " file(s) (" << files_scanned
+              << " files scanned)\n";
+  }
+}
+
+bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+// ---- source model -------------------------------------------------------
+
+// One allow-comment, parsed from the raw text.
+struct Allow {
+  int line = 0;
+  std::string rule;
+  bool well_formed = false;
+  std::string problem;  // set when !well_formed
 };
+
+struct Token {
+  std::string text;
+  int line = 0;
+  int col = 1;  // 1-based column of the token's first character
+};
+
+struct Include {
+  std::string path;  // as written between the quotes
+  int line = 0;
+  int col = 1;
+  bool quoted = false;  // "project" vs <system>
+};
+
+struct SourceFile {
+  std::string path;    // as reported in diagnostics
+  std::string rel;     // relative to --root, forward slashes
+  std::string module;  // src/<module>/ with the check/validate split; ""
+                       // outside src/
+  std::vector<std::string> raw_lines;   // 1-based via index-1
+  std::vector<std::string> code_lines;  // comments/strings blanked
+  std::vector<bool> preproc;            // per line: part of a # directive
+  std::vector<Allow> allows;
+  std::vector<Token> toks;
+  std::vector<Include> includes;
+};
+
+bool StartsWith(std::string_view s, std::string_view prefix) {
+  return s.substr(0, prefix.size()) == prefix;
+}
+
+// Strips comments, string/char literals (incl. raw strings), and
+// preprocessor directives out of the text, preserving the line structure so
+// every token keeps its original line number. Comment/string bodies become
+// spaces; preprocessor lines are recorded in `preproc` and blanked from the
+// code view (the include rules read the raw lines instead).
+void StripSource(SourceFile& f, const std::string& text) {
+  enum class State {
+    kCode,
+    kLineComment,
+    kBlockComment,
+    kString,
+    kChar,
+    kRawString,
+  };
+  std::string code;
+  code.reserve(text.size());
+  State state = State::kCode;
+  std::string raw_delim;         // for kRawString: ")delim"
+  bool line_has_code = false;    // any non-ws emitted on this line
+  bool line_is_preproc = false;  // first non-ws char was '#'
+  bool continuation = false;     // previous line ended with backslash
+  std::vector<bool> preproc_lines;
+
+  auto end_line = [&]() {
+    preproc_lines.push_back(line_is_preproc);
+    // The '\n' is already in `code`; a backslash right before it continues
+    // the directive onto the next line.
+    size_t n = code.size();
+    bool backslash = n >= 2 && code[n - 1] == '\n' && code[n - 2] == '\\';
+    continuation = line_is_preproc && backslash;
+    line_is_preproc = continuation;
+    line_has_code = false;
+  };
+
+  for (size_t i = 0; i < text.size(); ++i) {
+    char c = text[i];
+    char next = i + 1 < text.size() ? text[i + 1] : '\0';
+    if (c == '\n') {
+      if (state == State::kLineComment) state = State::kCode;
+      code.push_back('\n');
+      end_line();
+      continue;
+    }
+    switch (state) {
+      case State::kCode: {
+        if (!line_has_code && !line_is_preproc) {
+          if (c == '#') line_is_preproc = true;
+          if (!std::isspace(static_cast<unsigned char>(c)))
+            line_has_code = true;
+        }
+        if (c == '/' && next == '/') {
+          state = State::kLineComment;
+          code.append("  ");
+          ++i;
+        } else if (c == '/' && next == '*') {
+          state = State::kBlockComment;
+          code.append("  ");
+          ++i;
+        } else if (c == '"') {
+          // Raw string? The quote must directly follow an R whose own left
+          // neighbor is not an identifier character (allowing u8R/uR/LR
+          // prefixes, whose trailing char is still 'R').
+          size_t j = code.size();
+          bool raw = j > 0 && code[j - 1] == 'R' &&
+                     (j < 2 ||
+                      !std::isalnum(static_cast<unsigned char>(code[j - 2])) ||
+                      code[j - 2] == '8' || code[j - 2] == 'u' ||
+                      code[j - 2] == 'U' || code[j - 2] == 'L');
+          if (raw && j >= 2 && IsIdentChar(code[j - 2]) &&
+              !(code[j - 2] == '8' || code[j - 2] == 'u' ||
+                code[j - 2] == 'U' || code[j - 2] == 'L')) {
+            raw = false;  // identifier merely ending in R
+          }
+          if (raw) {
+            state = State::kRawString;
+            raw_delim = ")";
+            code.push_back('"');  // for the opening quote itself
+            size_t k = i + 1;
+            while (k < text.size() && text[k] != '(' &&
+                   raw_delim.size() < 18) {
+              raw_delim.push_back(text[k]);
+              code.push_back(' ');
+              ++k;
+            }
+            raw_delim.push_back('"');
+            i = k;  // at '(' (or bail; malformed raw strings end at EOF)
+            code.push_back(' ');
+          } else {
+            state = State::kString;
+            code.push_back('"');
+          }
+        } else if (c == '\'') {
+          state = State::kChar;
+          code.push_back('\'');
+        } else {
+          code.push_back(c);
+        }
+        break;
+      }
+      case State::kLineComment:
+        code.push_back(' ');
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          state = State::kCode;
+          code.append("  ");
+          ++i;
+        } else {
+          code.push_back(' ');
+        }
+        break;
+      case State::kString:
+        if (c == '\\' && next != '\0' && next != '\n') {
+          code.append("  ");
+          ++i;
+        } else if (c == '"') {
+          state = State::kCode;
+          code.push_back('"');
+        } else {
+          code.push_back(' ');
+        }
+        break;
+      case State::kChar:
+        if (c == '\\' && next != '\0' && next != '\n') {
+          code.append("  ");
+          ++i;
+        } else if (c == '\'') {
+          state = State::kCode;
+          code.push_back('\'');
+        } else {
+          code.push_back(' ');
+        }
+        break;
+      case State::kRawString:
+        if (c == ')' && text.compare(i, raw_delim.size(), raw_delim) == 0) {
+          for (size_t k = 1; k < raw_delim.size(); ++k) code.push_back(' ');
+          code.push_back('"');
+          i += raw_delim.size() - 1;
+          state = State::kCode;
+        } else {
+          code.push_back(' ');
+        }
+        break;
+    }
+  }
+  end_line();
+
+  // Split both views into lines.
+  auto split = [](const std::string& s) {
+    std::vector<std::string> lines;
+    std::string cur;
+    for (char c : s) {
+      if (c == '\n') {
+        lines.push_back(cur);
+        cur.clear();
+      } else {
+        cur.push_back(c);
+      }
+    }
+    lines.push_back(cur);
+    return lines;
+  };
+  f.raw_lines = split(text);
+  f.code_lines = split(code);
+  preproc_lines.resize(f.code_lines.size(), false);
+  f.preproc = preproc_lines;
+  // Blank preprocessor lines out of the code view; tokens must not come
+  // from directives (macro *definitions* of e.g. the marker are not uses).
+  for (size_t i = 0; i < f.code_lines.size(); ++i) {
+    if (f.preproc[i]) f.code_lines[i].assign(f.code_lines[i].size(), ' ');
+  }
+}
+
+// ---- allow-comments -----------------------------------------------------
+
+std::string Trim(std::string_view s) {
+  size_t b = 0, e = s.size();
+  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  return std::string(s.substr(b, e - b));
+}
+
+// A rule id is lowercase-kebab; anything else after `allow(` is prose (for
+// example documentation quoting the directive syntax), not a directive.
+bool IsRuleShaped(const std::string& s) {
+  if (s.empty() || !std::islower(static_cast<unsigned char>(s[0])))
+    return false;
+  for (char c : s) {
+    if (!(std::islower(static_cast<unsigned char>(c)) ||
+          std::isdigit(static_cast<unsigned char>(c)) || c == '-'))
+      return false;
+  }
+  return true;
+}
+
+// Parses every allow-directive in the file. Every directive needs a known
+// rule id and a non-empty reason.
+void ParseAllows(SourceFile& f) {
+  // Assembled so this file's own source does not contain the literal tag.
+  const std::string tag = std::string("cfl-analyze") + ":";
+  for (size_t i = 0; i < f.raw_lines.size(); ++i) {
+    const std::string& line = f.raw_lines[i];
+    size_t at = line.find(tag);
+    if (at == std::string::npos) continue;
+    Allow allow;
+    allow.line = static_cast<int>(i + 1);
+    std::string rest = Trim(line.substr(at + tag.size()));
+    const std::string kw = "allow(";
+    if (rest.compare(0, kw.size(), kw) != 0) {
+      allow.problem =
+          "expected allow(rule) plus a reason after the directive tag";
+      f.allows.push_back(allow);
+      continue;
+    }
+    size_t close = rest.find(')', kw.size());
+    if (close == std::string::npos) {
+      allow.problem = "unterminated allow(rule)";
+      f.allows.push_back(allow);
+      continue;
+    }
+    allow.rule = Trim(rest.substr(kw.size(), close - kw.size()));
+    if (!IsRuleShaped(allow.rule)) continue;  // prose, not a directive
+    std::string reason = Trim(rest.substr(close + 1));
+    if (KnownRules().count(allow.rule) == 0) {
+      allow.problem = "unknown rule id '" + allow.rule + "'";
+    } else if (reason.empty()) {
+      allow.problem = "missing justification after allow(" + allow.rule + ")";
+    } else {
+      allow.well_formed = true;
+    }
+    f.allows.push_back(allow);
+  }
+}
+
+// True if a well-formed allow for `rule` covers `line` (same line or the
+// line directly above).
+bool Allowed(const SourceFile& f, const char* rule, int line) {
+  for (const Allow& a : f.allows) {
+    if (!a.well_formed || a.rule != rule) continue;
+    if (a.line == line || a.line + 1 == line) return true;
+  }
+  return false;
+}
+
+// ---- small matching helpers (token-ish, on stripped lines) --------------
+
+// Finds whole-word occurrences of `word` in `line`; returns columns.
+std::vector<size_t> FindWord(const std::string& line,
+                                    std::string_view word) {
+  std::vector<size_t> hits;
+  size_t at = 0;
+  while ((at = line.find(word, at)) != std::string::npos) {
+    bool left_ok = at == 0 || !IsIdentChar(line[at - 1]);
+    size_t end = at + word.size();
+    bool right_ok = end >= line.size() || !IsIdentChar(line[end]);
+    if (left_ok && right_ok) hits.push_back(at);
+    at = end;
+  }
+  return hits;
+}
+
+// Matches `std :: name` with arbitrary interior whitespace, for any name in
+// `names`. Returns the matched name or empty.
+std::string FindStdMember(const std::string& line,
+                                 const std::vector<std::string>& names) {
+  for (size_t col : FindWord(line, "std")) {
+    size_t i = col + 3;
+    while (i < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[i])))
+      ++i;
+    if (i + 1 >= line.size() || line[i] != ':' || line[i + 1] != ':')
+      continue;
+    i += 2;
+    while (i < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[i])))
+      ++i;
+    for (const std::string& name : names) {
+      if (line.compare(i, name.size(), name) == 0) {
+        size_t end = i + name.size();
+        if (end >= line.size() || !IsIdentChar(line[end])) return name;
+      }
+    }
+  }
+  return {};
+}
+
+// ---- tokenizer ----------------------------------------------------------
+
+std::vector<Token> Tokenize(const SourceFile& f) {
+  std::vector<Token> tokens;
+  for (size_t li = 0; li < f.code_lines.size(); ++li) {
+    const std::string& line = f.code_lines[li];
+    size_t i = 0;
+    while (i < line.size()) {
+      char c = line[i];
+      if (std::isspace(static_cast<unsigned char>(c))) {
+        ++i;
+        continue;
+      }
+      Token t;
+      t.line = static_cast<int>(li + 1);
+      t.col = static_cast<int>(i + 1);
+      if (IsIdentChar(c)) {
+        size_t j = i;
+        while (j < line.size() && IsIdentChar(line[j])) ++j;
+        t.text = line.substr(i, j - i);
+        i = j;
+      } else if (c == ':' && i + 1 < line.size() && line[i + 1] == ':') {
+        t.text = "::";
+        i += 2;
+      } else {
+        t.text.assign(1, c);
+        ++i;
+      }
+      tokens.push_back(std::move(t));
+    }
+  }
+  return tokens;
+}
+
+size_t SkipGroup(const std::vector<Token>& toks, size_t open,
+                        const char* open_sym, const char* close_sym) {
+  // `open` indexes the opening symbol; returns index one past its match.
+  int depth = 0;
+  size_t i = open;
+  for (; i < toks.size(); ++i) {
+    if (toks[i].text == open_sym) ++depth;
+    if (toks[i].text == close_sym && --depth == 0) return i + 1;
+  }
+  return i;
+}
+
+// ---- class discovery ----------------------------------------------------
+
+struct ClassInfo {
+  std::string name;
+  bool is_struct = false;
+  bool marked = false;    // carries CFL_IMMUTABLE_AFTER_BUILD
+  size_t body_begin = 0;  // token index just past '{'
+  size_t body_end = 0;    // token index of matching '}'
+  int line = 0;
+};
+
+// Finds every class/struct body in the token stream, recording whether it
+// carries the CFL_IMMUTABLE_AFTER_BUILD marker. Nested classes yield their
+// own entries (inner bodies are sub-ranges of outer ones).
+std::vector<ClassInfo> FindClasses(const std::vector<Token>& toks) {
+  struct Scope {
+    bool is_class = false;
+    bool is_struct = false;
+    std::string name;
+    size_t body_begin = 0;
+    bool marked = false;
+    int line = 0;
+  };
+  std::vector<ClassInfo> found;
+  std::vector<Scope> stack;
+
+  bool pending = false;      // saw class/struct, waiting for '{' or ';'
+  bool pending_struct = false;
+  bool name_frozen = false;  // stop updating the name after ':' (bases)
+  std::string pending_name;
+  int pending_line = 0;
+
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    if ((t == "class" || t == "struct") &&
+        !(i > 0 && toks[i - 1].text == "enum")) {
+      pending = true;
+      pending_struct = (t == "struct");
+      name_frozen = false;
+      pending_name.clear();
+      pending_line = toks[i].line;
+      continue;
+    }
+    if (pending) {
+      if (t == "{") {
+        Scope s;
+        s.is_class = true;
+        s.is_struct = pending_struct;
+        s.name = pending_name;
+        s.body_begin = i + 1;
+        s.line = pending_line;
+        stack.push_back(s);
+        pending = false;
+        continue;
+      }
+      if (t == ";" || t == ")" || t == "}") {
+        pending = false;  // forward declaration / stray close
+      } else if (!name_frozen && (t == ">" || t == "<" || t == "," ||
+                                  t == "&" || t == "*")) {
+        pending = false;  // `template <class T>` — a parameter, not a class
+      } else if (t == "(") {
+        // Attribute macro between `class` and the name — skip its args.
+        i = SkipGroup(toks, i, "(", ")") - 1;
+      } else if (t == ":") {
+        name_frozen = true;
+      } else if (!name_frozen && t != "final" && t != "::" &&
+                 IsIdentChar(t[0])) {
+        pending_name = t;
+      }
+      continue;
+    }
+    if (t == "{") {
+      stack.push_back(Scope{});  // non-class scope
+    } else if (t == "}") {
+      if (!stack.empty()) {
+        Scope s = stack.back();
+        stack.pop_back();
+        if (s.is_class) {
+          ClassInfo ci;
+          ci.name = s.name;
+          ci.is_struct = s.is_struct;
+          ci.marked = s.marked;
+          ci.body_begin = s.body_begin;
+          ci.body_end = i;
+          ci.line = s.line;
+          found.push_back(ci);
+        }
+      }
+    } else if (t == kMarker) {
+      // Attach to the innermost class scope.
+      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+        if (it->is_class) {
+          it->marked = true;
+          break;
+        }
+      }
+    }
+  }
+  return found;
+}
 
 // ---- module DAG ---------------------------------------------------------
 
 // The allowed dependency table. Every module may additionally include
 // itself and `check`; every module except `check` may include `obs`.
-// src/check is split: check.h / thread_annotations.h / narrow.h /
-// analyze_annotations.h are the dependency-free base (`check`), while
-// validate.{h,cc} and test_access.h form `validate`, which sits above the
-// structures it validates.
+// src/check is split: check.h / env.h / narrow.h / thread_annotations.h
+// are the dependency-free base (`check`), while validate.{h,cc} and
+// test_access.h form `validate`, which sits above the structures it
+// validates.
 const std::map<std::string, std::set<std::string>>& AllowedDeps() {
   static const std::map<std::string, std::set<std::string>> table = {
       {"check", {}},
@@ -231,13 +723,6 @@ bool DepAllowed(const std::string& from, const std::string& to) {
 
 // ---- include extraction -------------------------------------------------
 
-struct Include {
-  std::string path;  // as written between the quotes
-  int line = 0;
-  int col = 1;
-  bool quoted = false;  // "project" vs <system>
-};
-
 std::vector<Include> ExtractIncludes(const SourceFile& f) {
   std::vector<Include> out;
   for (size_t li = 0; li < f.raw_lines.size(); ++li) {
@@ -264,8 +749,10 @@ std::vector<Include> ExtractIncludes(const SourceFile& f) {
 
 // ---- token helpers ------------------------------------------------------
 
-bool IsIdent(const Token& t) { return !t.text.empty() && IsIdentChar(t.text[0]) &&
-                                      !std::isdigit(static_cast<unsigned char>(t.text[0])); }
+bool IsIdent(const Token& t) {
+  return !t.text.empty() && IsIdentChar(t.text[0]) &&
+         !std::isdigit(static_cast<unsigned char>(t.text[0]));
+}
 
 bool IsKeywordCall(const std::string& s) {
   static const std::set<std::string> kw = {
@@ -284,176 +771,324 @@ bool LooksLikeMacro(const std::string& s) {
   return !has_lower;  // ALL_CAPS / digits / underscores
 }
 
-// ---- index construction -------------------------------------------------
+// ---- file loading -------------------------------------------------------
 
-// Records every `name(...)` followed by qualifiers and then `{` or `;`,
-// where `name` is an identifier preceded by something type-shaped (an
-// identifier, `::`, `>`, `*`, `&`, or `~`). Captures noexcept and
-// CFL_POOL_SAFE between the parameter list and the terminator. This
-// over-approximates (paren-initialized variables index as declarations),
-// which is harmless: the worker-noexcept rule only consults PascalCase
-// names that are actually called.
-void IndexFunctions(const AnalyzedFile& af, ProgramIndex& index) {
-  const std::vector<Token>& toks = af.toks;
-  for (size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (toks[i].text != "(") continue;
-    const Token& name = toks[i - 1];
-    if (!IsIdent(name) || IsKeywordCall(name.text)) continue;
-    if (i >= 2) {
-      const std::string& before = toks[i - 2].text;
-      bool type_shaped = before == "::" || before == ">" || before == "*" ||
-                         before == "&" || before == "~" ||
-                         (IsIdentChar(before[0]) && before != "return" &&
-                          !IsKeywordCall(before));
-      if (!type_shaped) continue;
-    } else {
+bool HasSourceExtension(const fs::path& p) {
+  std::string ext = p.extension().string();
+  return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp";
+}
+
+// Reads, strips, tokenizes and parses allow-comments; false on IO error.
+bool LoadSourceFile(const fs::path& root, const std::string& path,
+                    SourceFile& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  out.path = path;
+  out.rel = fs::path(path).lexically_proximate(root).generic_string();
+  out.module = ModuleOf(out.rel);
+  StripSource(out, buf.str());
+  ParseAllows(out);
+  out.toks = Tokenize(out);
+  out.includes = ExtractIncludes(out);
+  return true;
+}
+
+// ---- single-file rules --------------------------------------------------
+
+// Scans one marked class body for contract violations.
+void CheckMarkedClass(const SourceFile& f, const ClassInfo& cls,
+                      std::vector<Diagnostic>& diags) {
+  const std::vector<Token>& toks = f.toks;
+  auto report = [&](int line, int col, const std::string& msg) {
+    if (Allowed(f, kImmutableClass, line)) return;
+    diags.push_back({f.path, line, col, kImmutableClass, msg});
+  };
+
+  // `mutable` anywhere in the class span (incl. nested aggregates).
+  for (size_t i = cls.body_begin; i < cls.body_end; ++i) {
+    if (toks[i].text == "mutable") {
+      report(toks[i].line, toks[i].col,
+             "mutable member inside " + std::string(kMarker) + " class '" +
+                 cls.name + "'");
+    }
+  }
+
+  // Top-level declarations: public non-const methods.
+  std::string access = cls.is_struct ? "public" : "private";
+  size_t decl_start = cls.body_begin;
+  size_t i = cls.body_begin;
+  while (i < cls.body_end) {
+    const std::string& t = toks[i].text;
+    if (t == "{") {  // nested class/enum body or brace initializer
+      i = SkipGroup(toks, i, "{", "}");
+      decl_start = i;
       continue;
     }
-    size_t after_params = SkipGroup(toks, i, "(", ")");
-    // Walk qualifiers to the terminator.
-    bool is_noexcept = false;
-    bool pool_safe = false;
-    size_t j = after_params;
-    size_t terminator = toks.size();
-    int steps = 0;
-    while (j < toks.size() && steps < 32) {
+    if ((t == "public" || t == "protected" || t == "private") &&
+        i + 1 < cls.body_end && toks[i + 1].text == ":") {
+      access = t;
+      i += 2;
+      decl_start = i;
+      continue;
+    }
+    if (t == ";") {
+      decl_start = ++i;
+      continue;
+    }
+    if (t != "(") {
+      ++i;
+      continue;
+    }
+    // A '(': possibly a method declaration. Inspect the declaration so far.
+    bool exempt = false;
+    bool is_initializer = false;
+    std::string name = i > decl_start ? toks[i - 1].text : "";
+    bool saw_operator = false;
+    std::string operator_sym;
+    for (size_t d = decl_start; d < i; ++d) {
+      const std::string& dt = toks[d].text;
+      if (dt == "friend" || dt == "static" || dt == "typedef" ||
+          dt == "using") {
+        exempt = true;
+      } else if (dt == "=") {
+        is_initializer = true;  // member initializer, not a declaration
+      } else if (dt == "operator") {
+        saw_operator = true;
+        for (size_t k = d + 1; k < i; ++k) operator_sym += toks[k].text;
+      }
+    }
+    if (is_initializer || name.empty() || name == kMarker ||
+        !(IsIdentChar(name[0]) || saw_operator)) {
+      // `= static_cast<T>(x)`, macro residue, or expression parens.
+      i = SkipGroup(toks, i, "(", ")");
+      continue;
+    }
+    bool is_ctor_or_dtor =
+        name == cls.name || (i >= decl_start + 2 && toks[i - 2].text == "~");
+    if (saw_operator && operator_sym == "=") exempt = true;  // assignment
+    int name_line = toks[i - 1].line;
+    int name_col = toks[i - 1].col;
+    // Walk the qualifiers after the parameter list.
+    size_t j = SkipGroup(toks, i, "(", ")");
+    bool is_const = false;
+    bool deleted = false;
+    size_t terminator = cls.body_end;
+    while (j < cls.body_end) {
       const std::string& q = toks[j].text;
-      if (q == "noexcept") {
-        is_noexcept = true;
+      if (q == "const") {
+        is_const = true;
         ++j;
-      } else if (q == "CFL_POOL_SAFE") {
-        pool_safe = true;
-        ++j;
-      } else if (q == "(") {  // noexcept(...), attribute macros
+      } else if (q == "(") {  // noexcept(...)
         j = SkipGroup(toks, j, "(", ")");
       } else if (q == ";" || q == "{" || q == "=" || q == ":") {
         terminator = j;
         break;
-      } else if (q == ")" || q == "}" || q == ",") {
-        terminator = toks.size();  // expression context, not a declarator
-        break;
       } else {
-        ++j;  // const, override, final, &, &&, ->, trailing types
+        ++j;  // noexcept, override, final, &, &&, ->, attributes, types
       }
-      ++steps;
     }
-    if (terminator >= toks.size()) continue;
-    const std::string& term = toks[terminator].text;
-    if (term == "=" ) continue;  // `= delete` / `= default` / initializer
-    bool is_def = term == "{" || term == ":";
-    if (term == ";" && after_params == i + 1 + 1 && !is_noexcept &&
-        !pool_safe) {
-      // `Name();` with empty parens and no qualifiers: could be a call
-      // statement as easily as a declaration; too ambiguous to index.
-      // (Real declarations in this tree always have parameters or
-      // qualifiers.) Skip unless preceded by `::` (out-of-line def ref).
+    // Consume the rest of the declaration.
+    if (terminator < cls.body_end && toks[terminator].text == "=") {
+      size_t k = terminator + 1;
+      if (k < cls.body_end && toks[k].text == "delete") deleted = true;
+      while (k < cls.body_end && toks[k].text != ";") ++k;
+      i = k + 1;
+    } else if (terminator < cls.body_end && toks[terminator].text == ":") {
+      // Constructor initializer list: skip groups until the body.
+      size_t k = terminator + 1;
+      while (k < cls.body_end && toks[k].text != "{") {
+        if (toks[k].text == "(")
+          k = SkipGroup(toks, k, "(", ")");
+        else if (toks[k].text == "{")
+          break;
+        else
+          ++k;
+      }
+      i = k < cls.body_end ? SkipGroup(toks, k, "{", "}") : cls.body_end;
+    } else if (terminator < cls.body_end && toks[terminator].text == "{") {
+      i = SkipGroup(toks, terminator, "{", "}");
+    } else {
+      i = terminator < cls.body_end ? terminator + 1 : cls.body_end;
     }
-    FuncDecl d;
-    d.file_rel = af.rel;
-    d.line = name.line;
-    d.is_definition = is_def;
-    d.is_noexcept = is_noexcept;
-    d.pool_safe = pool_safe;
-    index.functions[name.text].push_back(d);
+    decl_start = i;
+
+    if (exempt || is_ctor_or_dtor || deleted || is_const) continue;
+    if (access != "public") continue;
+    report(name_line, name_col,
+           "non-const public method '" + name + "' on " + kMarker +
+               " class '" + cls.name +
+               "' — instances are shared read-only across workers");
   }
 }
 
-// Collects names of variables/parameters/members declared as TaskPool.
-void IndexPoolVars(const AnalyzedFile& af, ProgramIndex& index) {
-  const std::vector<Token>& toks = af.toks;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].text != "TaskPool") continue;
-    if (i > 0 && (toks[i - 1].text == "class" || toks[i - 1].text == "struct"))
-      continue;
-    size_t j = i + 1;
-    while (j < toks.size() &&
-           (toks[j].text == "&" || toks[j].text == "*" ||
-            toks[j].text == "const"))
-      ++j;
-    if (j < toks.size() && IsIdent(toks[j])) {
-      index.pool_vars.insert(toks[j].text);
+struct IncludeBan {
+  std::string header;
+  std::string home;  // the path prefix (or file) allowed to include it
+  std::string hint;
+};
+
+void CheckFile(const SourceFile& f, std::vector<Diagnostic>& diags) {
+  for (const Allow& a : f.allows) {
+    if (!a.well_formed) {
+      diags.push_back({f.path, a.line, 1, kBadAllow, a.problem});
     }
   }
-}
 
-// Reads the counter field names out of the stats structs. Field lists are
-// taken from EnumStats and CpiBuildStats in src/obs/stats.h — per-call
-// recording counters that must vanish under -DCFL_STATS=OFF. (MatchStats
-// summary fields are assigned at merge points that are themselves gated,
-// and share names with always-on MatchResult counters, so they are
-// deliberately not in the set.)
-void IndexStatsFields(const AnalyzedFile& af, ProgramIndex& index) {
-  if (af.rel.find("src/obs/") != 0) return;
-  std::vector<ClassInfo> classes = FindClasses(af.toks);
-  for (const ClassInfo& cls : classes) {
-    if (cls.name != "EnumStats" && cls.name != "CpiBuildStats") continue;
-    size_t i = cls.body_begin;
-    std::vector<size_t> decl;  // token indices of the current declaration
-    while (i < cls.body_end) {
-      const std::string& t = af.toks[i].text;
-      if (t == "{") {  // method body / brace initializer
-        i = SkipGroup(af.toks, i, "{", "}");
-        decl.clear();
-        continue;
-      }
-      if (t == "(") {  // function declaration — not a data member
-        i = SkipGroup(af.toks, i, "(", ")");
-        decl.push_back(0);  // poison: decl contained parens
-        continue;
-      }
-      if (t == ";") {
-        // Member name: the identifier before `=` if present, else the last
-        // identifier of the declaration.
-        bool poisoned = false;
-        size_t name_at = 0;
-        bool have = false;
-        for (size_t d : decl) {
-          if (d == 0) poisoned = true;
+  const bool in_check = StartsWith(f.rel, "src/check/");
+  const bool is_annotations_header =
+      f.rel == "src/check/thread_annotations.h";
+  // The two sanctioned clock call sites: the stats layer's facade
+  // (obs/clock.h) and the harness stopwatch.
+  const bool clock_exempt =
+      StartsWith(f.rel, "src/obs/") || StartsWith(f.rel, "src/harness/");
+
+  static const std::vector<std::string> kMutexNames = {
+      "mutex",           "recursive_mutex",
+      "timed_mutex",     "recursive_timed_mutex",
+      "shared_mutex",    "shared_timed_mutex",
+      "condition_variable", "condition_variable_any",
+      "lock_guard",      "unique_lock",
+      "scoped_lock"};
+
+  for (size_t li = 0; li < f.code_lines.size(); ++li) {
+    const int line_no = static_cast<int>(li + 1);
+    const std::string& line = f.code_lines[li];
+    if (f.preproc[li]) continue;  // include rule handles directives below
+
+    if (!in_check) {
+      // Only a *call* counts: `assert` immediately followed by '('.
+      for (size_t col : FindWord(line, "assert")) {
+        size_t after = col + 6;
+        while (after < line.size() &&
+               std::isspace(static_cast<unsigned char>(line[after])))
+          ++after;
+        if (after < line.size() && line[after] == '(' &&
+            !Allowed(f, kRawAssert, line_no)) {
+          diags.push_back({f.path, line_no, static_cast<int>(col + 1),
+                           kRawAssert,
+                           "raw assert() — use CFL_DCHECK / CFL_CHECK "
+                           "(src/check/check.h) for context on failure"});
+          break;
         }
-        if (!poisoned) {
-          for (size_t d : decl) {
-            if (af.toks[d].text == "=") break;
-            if (IsIdent(af.toks[d])) {
-              name_at = d;
-              have = true;
-            }
-          }
-          if (have) index.stats_fields.insert(af.toks[name_at].text);
-        }
-        decl.clear();
-        ++i;
-        continue;
       }
-      decl.push_back(i);
-      ++i;
+    }
+
+    if (!is_annotations_header) {
+      std::string hit = FindStdMember(line, kMutexNames);
+      if (!hit.empty() && !Allowed(f, kRawMutex, line_no)) {
+        diags.push_back(
+            {f.path, line_no, 1, kRawMutex,
+             "raw std::" + hit +
+                 " — use the annotated cfl::Mutex / cfl::MutexLock / "
+                 "cfl::CondVar (src/check/thread_annotations.h) so Thread "
+                 "Safety Analysis sees the critical section"});
+      }
+
+      std::vector<size_t> mutable_hits = FindWord(line, "mutable");
+      if (!mutable_hits.empty() && !Allowed(f, kMutableMember, line_no)) {
+        diags.push_back(
+            {f.path, line_no, static_cast<int>(mutable_hits[0] + 1),
+             kMutableMember,
+             "`mutable` — const-invisible state breaks the shared-read "
+             "contracts; justify with an allow(mutable-member) directive "
+             "if this really is private scratch"});
+      }
+
+      std::vector<size_t> cast_hits = FindWord(line, "const_cast");
+      if (!cast_hits.empty() && !Allowed(f, kConstCast, line_no)) {
+        diags.push_back({f.path, line_no, static_cast<int>(cast_hits[0] + 1),
+                         kConstCast,
+                         "const_cast pierces the immutability contracts"});
+      }
+    }
+
+    if (!clock_exempt) {
+      std::vector<size_t> clock_hits = FindWord(line, "steady_clock");
+      if (!clock_hits.empty() && !Allowed(f, kRawClock, line_no)) {
+        diags.push_back(
+            {f.path, line_no, static_cast<int>(clock_hits[0] + 1), kRawClock,
+             "raw steady_clock — wall-clock reads go through cfl::obs "
+             "(src/obs/clock.h) or the harness Stopwatch so phase accounting "
+             "stays reconcilable with MatchStats"});
+      }
+    }
+  }
+
+  // banned-include: library code only (src/).
+  if (StartsWith(f.rel, "src/")) {
+    static const std::vector<IncludeBan> kBans = {
+        {"mutex", "src/check/thread_annotations.h",
+         "use the annotated wrappers from check/thread_annotations.h"},
+        {"condition_variable", "src/check/thread_annotations.h",
+         "use cfl::CondVar from check/thread_annotations.h"},
+        {"shared_mutex", "src/check/thread_annotations.h",
+         "use the annotated wrappers from check/thread_annotations.h"},
+        {"thread", "src/parallel/",
+         "thread management belongs to the parallel layer"},
+        {"iostream", "src/check/",
+         "library code must not write to std streams; report through "
+         "check.h or return data to the harness"},
+    };
+    for (const Include& inc : f.includes) {
+      for (const IncludeBan& ban : kBans) {
+        if (inc.path != ban.header || StartsWith(f.rel, ban.home)) continue;
+        if (Allowed(f, kBannedInclude, inc.line)) continue;
+        diags.push_back({f.path, inc.line, inc.col, kBannedInclude,
+                         "#include <" + inc.path + "> in library code — " +
+                             ban.hint});
+      }
+    }
+  }
+
+  // immutable-class: marker-bearing classes.
+  bool marker_used = false;
+  for (const Token& t : f.toks) {
+    if (t.text == kMarker) marker_used = true;
+  }
+  if (marker_used) {
+    size_t attached = 0;
+    for (const ClassInfo& cls : FindClasses(f.toks)) {
+      if (!cls.marked) continue;
+      attached += 1;
+      CheckMarkedClass(f, cls, diags);
+    }
+    if (attached == 0) {
+      // Marker present but not inside any class body we could parse.
+      for (const Token& t : f.toks) {
+        if (t.text == kMarker) {
+          diags.push_back({f.path, t.line, t.col, kImmutableClass,
+                           std::string(kMarker) +
+                               " must appear inside a class body"});
+          break;
+        }
+      }
     }
   }
 }
 
 // ---- rule: layering -----------------------------------------------------
 
-void CheckLayering(const std::vector<AnalyzedFile>& files,
+void CheckLayering(const std::vector<SourceFile>& files,
                    std::vector<Diagnostic>& diags) {
   // Module DAG over the include edges.
-  std::map<std::string, std::vector<Include>> project_includes;
-  for (const AnalyzedFile& af : files) {
+  for (const SourceFile& af : files) {
     if (af.module.empty()) continue;
-    for (const Include& inc : ExtractIncludes(af.src)) {
+    for (const Include& inc : af.includes) {
       if (!inc.quoted) continue;
       std::string dep = ModuleOfInclude(inc.path);
       if (dep.empty()) continue;  // not a project module path
       if (AllowedDeps().count(dep) == 0 && dep != "validate") continue;
-      project_includes[af.rel].push_back(inc);
       if (DepAllowed(af.module, dep)) continue;
-      if (Allowed(af.src, kLayering, inc.line)) continue;
+      if (Allowed(af, kLayering, inc.line)) continue;
       bool known = AllowedDeps().count(af.module) != 0;
       diags.push_back(
-          {af.src.path, inc.line, inc.col, kLayering,
+          {af.path, inc.line, inc.col, kLayering,
            known ? ("module '" + af.module + "' must not include '" +
                     inc.path + "' (module '" + dep +
-                    "') — layering back-edge; the DAG is check < obs < "
-                    "graph < {gen,decomp} < cpi < order < validate < match "
-                    "< {baseline,parallel,harness}")
+                    "') — layering back-edge; the DAG is AllowedDeps() in "
+                    "tools/cfl_analyze.cc (DESIGN.md §9)")
                  : ("module '" + af.module +
                     "' is not in the layering DAG — add it to AllowedDeps() "
                     "in tools/cfl_analyze.cc (and DESIGN.md §9)")});
@@ -462,11 +1097,11 @@ void CheckLayering(const std::vector<AnalyzedFile>& files,
 
   // File-level include cycles (covers within-module cycles the DAG check
   // cannot see). Nodes are repo-relative paths under src/.
-  std::map<std::string, const AnalyzedFile*> by_rel;
-  for (const AnalyzedFile& af : files) by_rel[af.rel] = &af;
+  std::map<std::string, const SourceFile*> by_rel;
+  for (const SourceFile& af : files) by_rel[af.rel] = &af;
   std::map<std::string, std::vector<std::string>> edges;
-  for (const AnalyzedFile& af : files) {
-    for (const Include& inc : ExtractIncludes(af.src)) {
+  for (const SourceFile& af : files) {
+    for (const Include& inc : af.includes) {
       if (!inc.quoted) continue;
       std::string target = "src/" + inc.path;
       if (by_rel.count(target) != 0) edges[af.rel].push_back(target);
@@ -487,17 +1122,17 @@ void CheckLayering(const std::vector<AnalyzedFile>& files,
         for (auto it = at; it != stack.end(); ++it) chain += *it + " -> ";
         chain += m;
         if (reported.insert(chain).second) {
-          const AnalyzedFile* af = by_rel[n];
+          const SourceFile* af = by_rel[n];
           int line = 1, col = 1;
-          for (const Include& inc : ExtractIncludes(af->src)) {
+          for (const Include& inc : af->includes) {
             if ("src/" + inc.path == m) {
               line = inc.line;
               col = inc.col;
               break;
             }
           }
-          if (!Allowed(af->src, kLayering, line)) {
-            diags.push_back({af->src.path, line, col, kLayering,
+          if (!Allowed(*af, kLayering, line)) {
+            diags.push_back({af->path, line, col, kLayering,
                              "include cycle: " + chain});
           }
         }
@@ -508,127 +1143,8 @@ void CheckLayering(const std::vector<AnalyzedFile>& files,
     stack.pop_back();
     color[n] = 2;
   };
-  for (const AnalyzedFile& af : files) {
+  for (const SourceFile& af : files) {
     if (color[af.rel] == 0) dfs(af.rel);
-  }
-}
-
-// ---- rule: span-escape --------------------------------------------------
-
-// True if the token range contains `std :: span` (always) or
-// `std :: string_view` (only when string_view_too). Method returns audit
-// span only: `std::string_view name() const` over a literal or a stable
-// string member is the dominant safe accessor idiom, while a returned span
-// almost always aliases arena storage. Members audit both: a cached
-// string_view member dangles exactly like a span member.
-bool ContainsViewType(const std::vector<Token>& toks, size_t begin,
-                      size_t end, bool string_view_too, size_t* at) {
-  for (size_t i = begin; i + 2 < end; ++i) {
-    if (toks[i].text == "std" && toks[i + 1].text == "::" &&
-        (toks[i + 2].text == "span" ||
-         (string_view_too && toks[i + 2].text == "string_view"))) {
-      *at = i;
-      return true;
-    }
-  }
-  return false;
-}
-
-void CheckSpanEscape(const AnalyzedFile& af, const ProgramIndex& index,
-                     std::vector<Diagnostic>& diags) {
-  if (af.module.empty()) return;  // src/ only
-  std::vector<ClassInfo> classes = FindClasses(af.toks);
-  for (const ClassInfo& cls : classes) {
-    if (cls.marked) continue;  // immutable owner: views cannot dangle
-    size_t i = cls.body_begin;
-    size_t decl_start = i;
-    while (i < cls.body_end) {
-      const std::string& t = af.toks[i].text;
-      if (t == "{") {  // method body, nested class, brace initializer
-        i = SkipGroup(af.toks, i, "{", "}");
-        decl_start = i;
-        continue;
-      }
-      if (t == "(" && i > decl_start &&
-          af.toks[i - 1].text == "CFL_SPAN_INTO") {
-        // Annotation arguments, not a function declarator.
-        i = SkipGroup(af.toks, i, "(", ")");
-        continue;
-      }
-      if (t != ";" && t != "(") {
-        ++i;
-        continue;
-      }
-      // Declaration span is [decl_start, i); for a function declarator the
-      // view check covers only the return type (tokens before the name).
-      size_t decl_end = i;
-      bool is_function = t == "(";
-      if (is_function) decl_end = i > decl_start ? i - 1 : decl_start;
-      size_t view_at = 0;
-      bool has_view = ContainsViewType(af.toks, decl_start, decl_end,
-                                       /*string_view_too=*/!is_function,
-                                       &view_at);
-      // CFL_SPAN_INTO(Owner) annotation anywhere in the declaration.
-      std::string span_owner;
-      bool has_annotation = false;
-      for (size_t d = decl_start; d + 2 < i; ++d) {
-        if (af.toks[d].text == "CFL_SPAN_INTO" &&
-            af.toks[d + 1].text == "(") {
-          has_annotation = true;
-          span_owner = af.toks[d + 2].text;
-        }
-      }
-      if (has_view) {
-        const Token& vt = af.toks[view_at];
-        bool allowed = Allowed(af.src, kSpanEscape, vt.line);
-        bool owner_ok = false;
-        std::string why;
-        if (has_annotation) {
-          auto it = index.classes.find(span_owner);
-          if (it != index.classes.end() && it->second) {
-            owner_ok = true;
-          } else {
-            why = "CFL_SPAN_INTO names '" + span_owner +
-                  "', which is not CFL_IMMUTABLE_AFTER_BUILD anywhere in "
-                  "the program";
-          }
-        } else {
-          why = is_function
-                    ? "method returns a view from a class that is not "
-                      "CFL_IMMUTABLE_AFTER_BUILD — the referent may be "
-                      "rebuilt under the caller"
-                    : "view-typed member of a class that is not "
-                      "CFL_IMMUTABLE_AFTER_BUILD — it can outlive a reused "
-                      "scratch buffer or rebuilt arena; annotate with "
-                      "CFL_SPAN_INTO(<frozen owner>) "
-                      "(check/analyze_annotations.h) or justify with an "
-                      "allow";
-        }
-        if (!allowed && !owner_ok) {
-          diags.push_back({af.src.path, vt.line, vt.col, kSpanEscape,
-                           "in class '" + cls.name + "': " + why});
-        }
-      }
-      // Advance past the declarator.
-      if (is_function) {
-        size_t j = SkipGroup(af.toks, i, "(", ")");
-        while (j < cls.body_end && af.toks[j].text != ";" &&
-               af.toks[j].text != "{") {
-          if (af.toks[j].text == "(")
-            j = SkipGroup(af.toks, j, "(", ")");
-          else
-            ++j;
-        }
-        if (j < cls.body_end && af.toks[j].text == "{")
-          j = SkipGroup(af.toks, j, "{", "}");
-        else if (j < cls.body_end)
-          ++j;
-        i = j;
-      } else {
-        ++i;
-      }
-      decl_start = i;
-    }
   }
 }
 
@@ -667,7 +1183,7 @@ bool RangeContains(const std::vector<Token>& toks, size_t begin, size_t end,
   return false;
 }
 
-void CheckNarrowing(const AnalyzedFile& af, std::vector<Diagnostic>& diags) {
+void CheckNarrowing(const SourceFile& af, std::vector<Diagnostic>& diags) {
   if (!InNarrowingScope(af.rel)) return;
   const std::vector<Token>& toks = af.toks;
   for (size_t i = 0; i + 4 < toks.size(); ++i) {
@@ -677,9 +1193,9 @@ void CheckNarrowing(const AnalyzedFile& af, std::vector<Diagnostic>& diags) {
         toks[i + 4].text == "(") {
       size_t close = SkipGroup(toks, i + 4, "(", ")");
       if (RangeLooksLikeIndexExpr(toks, i + 5, close - 1) &&
-          !Allowed(af.src, kNarrowing, toks[i].line)) {
+          !Allowed(af, kNarrowing, toks[i].line)) {
         diags.push_back(
-            {af.src.path, toks[i].line, toks[i].col, kNarrowing,
+            {af.path, toks[i].line, toks[i].col, kNarrowing,
              "unchecked 64->32 narrowing of a size/offset expression — use "
              "cfl::CheckedU32 (check/narrow.h) or CheckedCandidateCount "
              "(match/enumerator.h) so truncation fails loudly"});
@@ -704,9 +1220,9 @@ void CheckNarrowing(const AnalyzedFile& af, std::vector<Diagnostic>& diags) {
       if (RangeLooksLikeIndexExpr(toks, i + 3, end) &&
           !RangeContains(toks, i + 3, end, "CheckedU32") &&
           !RangeContains(toks, i + 3, end, "CheckedCandidateCount") &&
-          !Allowed(af.src, kNarrowing, toks[i].line)) {
+          !Allowed(af, kNarrowing, toks[i].line)) {
         diags.push_back(
-            {af.src.path, toks[i].line, toks[i].col, kNarrowing,
+            {af.path, toks[i].line, toks[i].col, kNarrowing,
              "implicit 64->32 narrowing: " + toks[i].text + " " +
                  toks[i + 1].text +
                  " initialized from a size/offset expression — route it "
@@ -716,272 +1232,18 @@ void CheckNarrowing(const AnalyzedFile& af, std::vector<Diagnostic>& diags) {
   }
 }
 
-// ---- rule: worker-noexcept ----------------------------------------------
-
-// Merged view of a function across all decls/defs.
-struct FuncSummary {
-  bool known = false;
-  bool is_noexcept = false;
-  bool pool_safe = false;
-  bool defined_in_parallel = false;
-  std::string def_file;
-  int def_line = 0;
-};
-
-FuncSummary Summarize(const ProgramIndex& index, const std::string& name) {
-  FuncSummary s;
-  auto it = index.functions.find(name);
-  if (it == index.functions.end()) return s;
-  s.known = true;
-  for (const FuncDecl& d : it->second) {
-    if (d.is_noexcept) s.is_noexcept = true;
-    if (d.pool_safe) s.pool_safe = true;
-    if (d.file_rel.find("src/parallel/") == 0) {
-      s.defined_in_parallel = true;
-      if (s.def_file.empty() || d.is_definition) {
-        s.def_file = d.file_rel;
-        s.def_line = d.line;
-      }
-    }
-  }
-  return s;
-}
-
-// Token range of the body of function `name` in this file ({...} after the
-// declarator), or (0,0) when not found / declaration only.
-std::pair<size_t, size_t> FindFunctionBody(const std::vector<Token>& toks,
-                                           const std::string& name) {
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].text != name || toks[i + 1].text != "(") continue;
-    size_t j = SkipGroup(toks, i + 1, "(", ")");
-    // Walk qualifiers/initializer list to the body.
-    while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") {
-      if (toks[j].text == "(")
-        j = SkipGroup(toks, j, "(", ")");
-      else
-        ++j;
-    }
-    if (j < toks.size() && toks[j].text == "{") {
-      return {j + 1, SkipGroup(toks, j, "{", "}") - 1};
-    }
-  }
-  return {0, 0};
-}
-
-void CheckWorkerNoexcept(const AnalyzedFile& af, const ProgramIndex& index,
-                         std::vector<Diagnostic>& diags) {
-  if (af.module.empty()) return;  // src/ only
-  const std::vector<Token>& toks = af.toks;
-
-  // (a) TaskPool internals: a task is invoked only through InvokeTask, and
-  // the out-of-boundary functions are noexcept.
-  bool is_pool_impl = false;
-  for (size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].text == "TaskPool" && toks[i + 1].text == "::" &&
-        (toks[i + 2].text == "WorkerLoop" || toks[i + 2].text == "Submit" ||
-         toks[i + 2].text == "InvokeTask")) {
-      is_pool_impl = true;
-      break;
-    }
-  }
-  if (is_pool_impl) {
-    auto invoke_task = FindFunctionBody(toks, "InvokeTask");
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (toks[i].text != "task" || toks[i + 1].text != "(") continue;
-      if (i >= invoke_task.first && i < invoke_task.second) continue;
-      if (Allowed(af.src, kWorkerNoexcept, toks[i].line)) continue;
-      diags.push_back(
-          {af.src.path, toks[i].line, toks[i].col, kWorkerNoexcept,
-           "TaskPool invokes a task directly — route it through InvokeTask "
-           "so an escaped exception fails fast with context instead of "
-           "std::terminate / stranding a ForkJoin latch"});
-    }
-    for (const char* fn : {"InvokeTask", "WorkerLoop"}) {
-      FuncSummary s = Summarize(index, fn);
-      if (!s.known || s.is_noexcept) continue;
-      // Report at this file's mention of the function (once).
-      for (size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].text != fn) continue;
-        if (Allowed(af.src, kWorkerNoexcept, toks[i].line)) break;
-        diags.push_back(
-            {af.src.path, toks[i].line, toks[i].col, kWorkerNoexcept,
-             std::string("TaskPool::") + fn +
-                 " must be noexcept — it runs on the worker outside the "
-                 "InvokeTask boundary, where an exception is an immediate "
-                 "std::terminate with no context"});
-        break;
-      }
-    }
-  }
-
-  // (b) Task-lambda audit: functions called from a lambda handed to
-  // `<pool>.Submit(...)` or `ForkJoin(...)` that are defined in
-  // src/parallel/ must be noexcept or CFL_POOL_SAFE.
-  for (size_t i = 0; i + 3 < toks.size(); ++i) {
-    size_t open = 0;  // the call's '('
-    if (toks[i].text == "ForkJoin" && toks[i + 1].text == "(") {
-      open = i + 1;
-    } else if (IsIdent(toks[i]) && index.pool_vars.count(toks[i].text) != 0) {
-      size_t j = i + 1;
-      if (toks[j].text == "." || (toks[j].text == "-" &&
-                                  j + 1 < toks.size() &&
-                                  toks[j + 1].text == ">")) {
-        j += toks[j].text == "." ? 1 : 2;
-      } else {
-        continue;
-      }
-      if (j + 1 >= toks.size() || toks[j].text != "Submit" ||
-          toks[j + 1].text != "(")
-        continue;
-      open = j + 1;
-    } else {
-      continue;
-    }
-    size_t call_end = SkipGroup(toks, open, "(", ")");
-    // The lambda argument: the first '[' at the call's top level, then the
-    // first '{' after its capture and parameter list.
-    size_t k = open + 1;
-    while (k < call_end && toks[k].text != "[") {
-      if (toks[k].text == "(")
-        k = SkipGroup(toks, k, "(", ")");
-      else
-        ++k;
-    }
-    if (k >= call_end) continue;
-    k = SkipGroup(toks, k, "[", "]");
-    while (k < call_end && toks[k].text != "{") {
-      if (toks[k].text == "(")
-        k = SkipGroup(toks, k, "(", ")");
-      else
-        ++k;
-    }
-    if (k >= call_end) continue;
-    size_t body_begin = k + 1;
-    size_t body_end = SkipGroup(toks, k, "{", "}") - 1;
-    for (size_t c = body_begin; c + 1 < body_end; ++c) {
-      if (!IsIdent(toks[c]) || toks[c + 1].text != "(") continue;
-      const std::string& callee = toks[c].text;
-      if (IsKeywordCall(callee) || LooksLikeMacro(callee)) continue;
-      if (!std::isupper(static_cast<unsigned char>(callee[0])))
-        continue;  // project functions are PascalCase; locals are not
-      if (c > body_begin) {
-        const std::string& prev = toks[c - 1].text;
-        if (prev == "." || prev == "::" || prev == ">") continue;  // method
-      }
-      FuncSummary s = Summarize(index, callee);
-      if (!s.known || !s.defined_in_parallel) continue;
-      if (s.is_noexcept || s.pool_safe) continue;
-      if (Allowed(af.src, kWorkerNoexcept, toks[c].line)) continue;
-      diags.push_back(
-          {af.src.path, toks[c].line, toks[c].col, kWorkerNoexcept,
-           "'" + callee + "' (defined in " + s.def_file +
-               ") is called from a pool task but is neither noexcept nor "
-               "CFL_POOL_SAFE — the parallel layer's own helpers must not "
-               "throw across the worker boundary"});
-    }
-  }
-}
-
-// ---- rule: stats-gate ---------------------------------------------------
-
-void CheckStatsGate(const AnalyzedFile& af, const ProgramIndex& index,
-                    std::vector<Diagnostic>& diags) {
-  if (af.module.empty() || af.rel.find("src/obs/") == 0) return;
-  const std::vector<Token>& toks = af.toks;
-
-  // Token ranges covered by CFL_STATS_ONLY(...).
-  std::vector<std::pair<size_t, size_t>> gated;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].text == "CFL_STATS_ONLY" && toks[i + 1].text == "(") {
-      gated.emplace_back(i + 2, SkipGroup(toks, i + 1, "(", ")") - 1);
-    }
-  }
-  auto in_gate = [&](size_t i) {
-    for (const auto& g : gated) {
-      if (i >= g.first && i < g.second) return true;
-    }
-    return false;
-  };
-
-  static const std::set<std::string> kMutatingMethods = {
-      "push_back", "resize", "clear",  "assign",
-      "emplace_back", "reserve", "shrink_to_fit", "pop_back"};
-
-  for (size_t i = 1; i < toks.size(); ++i) {
-    if (index.stats_fields.count(toks[i].text) == 0) continue;
-    const std::string& prev = toks[i - 1].text;
-    bool member_access =
-        prev == "." || (prev == ">" && i >= 2 && toks[i - 2].text == "-");
-    if (!member_access) continue;
-
-    // Skip subscript groups after the field: stats.generated[u] += ...
-    size_t j = i + 1;
-    while (j < toks.size() && toks[j].text == "[")
-      j = SkipGroup(toks, j, "[", "]");
-    bool mutation = false;
-    std::string how;
-    if (j + 1 < toks.size()) {
-      const std::string& a = toks[j].text;
-      const std::string& b = toks[j + 1].text;
-      if (a == "=" && b != "=") {
-        mutation = true;
-        how = "assignment";
-      } else if ((a == "+" || a == "-" || a == "*" || a == "/" || a == "|" ||
-                  a == "&" || a == "^") &&
-                 b == "=") {
-        mutation = true;
-        how = "compound assignment";
-      } else if ((a == "+" && b == "+") || (a == "-" && b == "-")) {
-        mutation = true;
-        how = "increment";
-      } else if (a == "." && kMutatingMethods.count(b) != 0 &&
-                 j + 2 < toks.size() && toks[j + 2].text == "(") {
-        mutation = true;
-        how = "." + b + "()";
-      }
-    }
-    if (!mutation) {
-      // Prefix ++/--: walk left over the member chain.
-      size_t k = i - 1;
-      while (k > 0 && (toks[k].text == "." || IsIdent(toks[k]) ||
-                       (toks[k].text == ">" && k >= 1 &&
-                        toks[k - 1].text == "-") ||
-                       toks[k].text == "-"))
-        --k;
-      if (k >= 1 && ((toks[k].text == "+" && toks[k - 1].text == "+") ||
-                     (toks[k].text == "-" && toks[k - 1].text == "-"))) {
-        mutation = true;
-        how = "increment";
-      }
-    }
-    if (!mutation) continue;
-    if (in_gate(i)) continue;
-    if (Allowed(af.src, kStatsGate, toks[i].line)) continue;
-    diags.push_back(
-        {af.src.path, toks[i].line, toks[i].col, kStatsGate,
-         "stats counter '" + toks[i].text + "' mutated (" + how +
-             ") outside CFL_STATS_ONLY — the site would survive "
-             "-DCFL_STATS=OFF and break the bit-identical-hot-path "
-             "contract (src/obs/stats.h)"});
-  }
-}
-
 // ---- concurrency model --------------------------------------------------
 //
 // Shared token-level model for the lock-order and blocking-under-lock
 // rules: every cfl::Mutex member with its declared CFL_LOCK_LEVEL, a
-// program-wide variable-name -> type map for the lockable / waitable types
-// (built the same way IndexPoolVars types TaskPool variables), and every
+// program-wide variable-name -> type map for the lockable / waitable types,
+// and every
 // function *definition* with its body token range so acquisitions can be
 // attributed to a (class, function) and propagated along the call graph.
 
 struct MutexInfo {
   std::string cls;
-  std::string member;
   int level = -1;  // -1: marker missing or malformed
-  size_t file_index = 0;
-  int line = 0;
-  int col = 1;
 };
 
 struct FunctionDef {
@@ -990,7 +1252,6 @@ struct FunctionDef {
   std::string name;
   size_t body_begin = 0;  // first token inside the body braces
   size_t body_end = 0;    // one past the last token inside them
-  int line = 0;
 };
 
 struct ConcurrencyModel {
@@ -1006,18 +1267,17 @@ struct ConcurrencyModel {
   std::map<std::string, std::vector<size_t>> defs_by_name;
 };
 
-bool IsThreadAnnotationsHeader(const AnalyzedFile& af) {
+bool IsThreadAnnotationsHeader(const SourceFile& af) {
   return af.rel.find("check/thread_annotations.h") != std::string::npos;
 }
 
 // Scans class bodies (at member level — nested braces and parens skipped)
 // for `Mutex <name> ... ;` members and their CFL_LOCK_LEVEL markers. The
 // wrapper's own header is exempt: it defines Mutex, it does not hold one.
-void CollectMutexMembers(const std::vector<AnalyzedFile>& files,
+void CollectMutexMembers(const std::vector<SourceFile>& files,
                          ConcurrencyModel& model,
                          std::vector<Diagnostic>& diags) {
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    const AnalyzedFile& af = files[fi];
+  for (const SourceFile& af : files) {
     if (af.module.empty() || IsThreadAnnotationsHeader(af)) continue;
     const std::vector<Token>& toks = af.toks;
     for (const ClassInfo& cls : FindClasses(toks)) {
@@ -1045,10 +1305,6 @@ void CollectMutexMembers(const std::vector<AnalyzedFile>& files,
         const Token& name = toks[i + 1];
         MutexInfo info;
         info.cls = cls.name;
-        info.member = name.text;
-        info.file_index = fi;
-        info.line = name.line;
-        info.col = name.col;
         bool has_marker = false;
         bool bad_arg = false;
         size_t j = i + 2;
@@ -1082,17 +1338,17 @@ void CollectMutexMembers(const std::vector<AnalyzedFile>& files,
         }
         const std::string key = cls.name + "::" + name.text;
         if (!has_marker) {
-          if (!Allowed(af.src, kLockOrder, name.line)) {
+          if (!Allowed(af, kLockOrder, name.line)) {
             diags.push_back(
-                {af.src.path, name.line, name.col, kLockOrder,
+                {af.path, name.line, name.col, kLockOrder,
                  "cfl::Mutex member '" + key +
                      "' has no CFL_LOCK_LEVEL(n) — every mutex must "
                      "declare its position in the lock hierarchy "
                      "(check/thread_annotations.h, DESIGN.md §9)"});
           }
         } else if (bad_arg) {
-          if (!Allowed(af.src, kLockOrder, name.line)) {
-            diags.push_back({af.src.path, name.line, name.col, kLockOrder,
+          if (!Allowed(af, kLockOrder, name.line)) {
+            diags.push_back({af.path, name.line, name.col, kLockOrder,
                              "CFL_LOCK_LEVEL on '" + key +
                                  "' must take an integer literal"});
           }
@@ -1109,11 +1365,11 @@ void CollectMutexMembers(const std::vector<AnalyzedFile>& files,
 // a Mutex member, plus the waitable primitives from thread_annotations.h
 // and the pools. `Mutex` itself is deliberately absent — `Mutex&`
 // parameters (CondVar::Wait) are the wrapper's own plumbing.
-void CollectVarTypes(const std::vector<AnalyzedFile>& files,
+void CollectVarTypes(const std::vector<SourceFile>& files,
                      ConcurrencyModel& model) {
   std::set<std::string> known = {"CondVar", "TaskPool", "TaskLatch"};
   for (const auto& [key, info] : model.mutexes) known.insert(info.cls);
-  for (const AnalyzedFile& af : files) {
+  for (const SourceFile& af : files) {
     if (af.module.empty() || IsThreadAnnotationsHeader(af)) continue;
     const std::vector<Token>& toks = af.toks;
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -1140,10 +1396,10 @@ void CollectVarTypes(const std::vector<AnalyzedFile>& files,
 // declarator walk as IndexFunctions, but it resolves the enclosing class
 // (out-of-line `Cls::name` qualifier first, innermost containing class
 // body otherwise) and follows constructor initializer lists to the body.
-void CollectFunctionDefs(const std::vector<AnalyzedFile>& files,
+void CollectFunctionDefs(const std::vector<SourceFile>& files,
                          ConcurrencyModel& model) {
   for (size_t fi = 0; fi < files.size(); ++fi) {
-    const AnalyzedFile& af = files[fi];
+    const SourceFile& af = files[fi];
     if (af.module.empty()) continue;
     const std::vector<Token>& toks = af.toks;
     std::vector<ClassInfo> classes = FindClasses(toks);
@@ -1220,7 +1476,6 @@ void CollectFunctionDefs(const std::vector<AnalyzedFile>& files,
       FunctionDef d;
       d.file_index = fi;
       d.name = name.text;
-      d.line = name.line;
       if (cls.empty()) {
         // Innermost class whose body contains the definition, if any.
         size_t best_span = static_cast<size_t>(-1);
@@ -1262,7 +1517,7 @@ std::string ResolveMutexVar(const ConcurrencyModel& model,
 
 // ---- rules: lock-order + blocking-under-lock ----------------------------
 
-void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
+void CheckLockDiscipline(const std::vector<SourceFile>& files,
                          const ConcurrencyModel& model,
                          std::vector<Diagnostic>& diags) {
   static const std::set<std::string> kSyscalls = {
@@ -1317,7 +1572,7 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
 
   for (size_t di = 0; di < n; ++di) {
     const FunctionDef& d = model.defs[di];
-    const AnalyzedFile& af = files[d.file_index];
+    const SourceFile& af = files[d.file_index];
     const std::vector<Token>& toks = af.toks;
 
     struct LiveLock {
@@ -1414,7 +1669,7 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
       }
 
       if (blocking && !live.empty() &&
-          !Allowed(af.src, kBlockingUnderLock, toks[i].line)) {
+          !Allowed(af, kBlockingUnderLock, toks[i].line)) {
         std::string held = live.back().key.empty() ? "a mutex"
                                                    : "'" + live.back().key +
                                                          "' (locked line " +
@@ -1422,7 +1677,7 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
                                                              live.back()
                                                                  .line) +
                                                          ")";
-        diags.push_back({af.src.path, toks[i].line, toks[i].col,
+        diags.push_back({af.path, toks[i].line, toks[i].col,
                          kBlockingUnderLock,
                          "blocking call while holding " + held + ": " + why +
                              " — waiting under a lock stalls every other "
@@ -1478,10 +1733,10 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
   std::map<std::string, std::vector<std::string>> adj;
   for (const auto& [edge, site] : edges) {
     const auto& [from, to] = edge;
-    const AnalyzedFile& af = files[site.file_index];
+    const SourceFile& af = files[site.file_index];
     if (from == to) {
-      if (!Allowed(af.src, kLockOrder, site.line)) {
-        diags.push_back({af.src.path, site.line, site.col, kLockOrder,
+      if (!Allowed(af, kLockOrder, site.line)) {
+        diags.push_back({af.path, site.line, site.col, kLockOrder,
                          "mutex '" + from +
                              "' acquired while already held — recursive "
                              "acquisition deadlocks cfl::Mutex"});
@@ -1492,9 +1747,9 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
     int lf = level_of(from);
     int lt = level_of(to);
     if (lf >= 0 && lt >= 0 && lf >= lt &&
-        !Allowed(af.src, kLockOrder, site.line)) {
+        !Allowed(af, kLockOrder, site.line)) {
       diags.push_back(
-          {af.src.path, site.line, site.col, kLockOrder,
+          {af.path, site.line, site.col, kLockOrder,
            "acquires '" + to + "' (CFL_LOCK_LEVEL " + std::to_string(lt) +
                ") while holding '" + from + "' (CFL_LOCK_LEVEL " +
                std::to_string(lf) +
@@ -1519,9 +1774,9 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
         if (reported.insert(chain).second) {
           auto site = edges.find(std::make_pair(m, nxt));
           if (site != edges.end()) {
-            const AnalyzedFile& af = files[site->second.file_index];
-            if (!Allowed(af.src, kLockOrder, site->second.line)) {
-              diags.push_back({af.src.path, site->second.line,
+            const SourceFile& af = files[site->second.file_index];
+            if (!Allowed(af, kLockOrder, site->second.line)) {
+              diags.push_back({af.path, site->second.line,
                                site->second.col, kLockOrder,
                                "lock-order cycle: " + chain +
                                    " — two threads taking this ring from "
@@ -1543,7 +1798,7 @@ void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
 
 // ---- rule: atomic-intent ------------------------------------------------
 
-void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
+void CheckAtomicIntent(const std::vector<SourceFile>& files,
                        std::vector<Diagnostic>& diags) {
   static const std::set<std::string> kIntents = {"counter", "flag",
                                                  "publish"};
@@ -1565,7 +1820,7 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
   // identifier is a storage declaration (followed by `&`/`*` it is a
   // reference or pointer — the storage is annotated where it lives).
   for (size_t fi = 0; fi < files.size(); ++fi) {
-    const AnalyzedFile& af = files[fi];
+    const SourceFile& af = files[fi];
     if (af.module.empty()) continue;
     const std::vector<Token>& toks = af.toks;
     for (size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -1614,9 +1869,9 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
       i = close;
       if (!terminated) continue;
       if (intent.empty()) {
-        if (!Allowed(af.src, kAtomicIntent, name.line)) {
+        if (!Allowed(af, kAtomicIntent, name.line)) {
           diags.push_back(
-              {af.src.path, name.line, name.col, kAtomicIntent,
+              {af.path, name.line, name.col, kAtomicIntent,
                "std::atomic '" + name.text +
                    "' declares no CFL_ATOMIC_INTENT(counter|flag|publish) "
                    "— say what the atomic is for so use sites can be "
@@ -1625,8 +1880,8 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
         continue;
       }
       if (kIntents.count(intent) == 0) {
-        if (!Allowed(af.src, kAtomicIntent, name.line)) {
-          diags.push_back({af.src.path, name.line, name.col, kAtomicIntent,
+        if (!Allowed(af, kAtomicIntent, name.line)) {
+          diags.push_back({af.path, name.line, name.col, kAtomicIntent,
                            "unknown atomic intent '" + intent +
                                "' on '" + name.text +
                                "' — must be counter, flag, or publish"});
@@ -1635,9 +1890,9 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
       }
       auto it = declared.find(name.text);
       if (it != declared.end() && it->second.intent != intent) {
-        if (!Allowed(af.src, kAtomicIntent, name.line)) {
+        if (!Allowed(af, kAtomicIntent, name.line)) {
           diags.push_back(
-              {af.src.path, name.line, name.col, kAtomicIntent,
+              {af.path, name.line, name.col, kAtomicIntent,
                "atomic '" + name.text + "' re-declared with intent '" +
                    intent + "' but '" + it->second.intent +
                    "' elsewhere (" + files[it->second.file_index].rel +
@@ -1670,7 +1925,7 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
   };
 
   for (size_t fi = 0; fi < files.size(); ++fi) {
-    const AnalyzedFile& af = files[fi];
+    const SourceFile& af = files[fi];
     if (af.module.empty()) continue;
     const std::vector<Token>& toks = af.toks;
     for (size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -1701,9 +1956,9 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
       const std::string& intent = it->second.intent;
       const Token& site = toks[op_at];
       if (orders.empty()) {
-        if (!Allowed(af.src, kAtomicIntent, site.line)) {
+        if (!Allowed(af, kAtomicIntent, site.line)) {
           diags.push_back(
-              {af.src.path, site.line, site.col, kAtomicIntent,
+              {af.path, site.line, site.col, kAtomicIntent,
                "'" + toks[i].text + "." + op +
                    "' defaults to seq_cst — spell the memory_order "
                    "explicitly; intent '" + intent +
@@ -1714,8 +1969,8 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
       std::set<std::string> ok = allowed_orders(intent, is_load, is_store);
       for (const std::string& order : orders) {
         if (ok.count(order) != 0) continue;
-        if (Allowed(af.src, kAtomicIntent, site.line)) continue;
-        diags.push_back({af.src.path, site.line, site.col, kAtomicIntent,
+        if (Allowed(af, kAtomicIntent, site.line)) continue;
+        diags.push_back({af.path, site.line, site.col, kAtomicIntent,
                          "'" + toks[i].text + "." + op + "' uses " + order +
                              " but the atomic's declared intent is '" +
                              intent + "' — " +
@@ -1731,83 +1986,13 @@ void CheckAtomicIntent(const std::vector<AnalyzedFile>& files,
   }
 }
 
-// ---- compile_commands.json ----------------------------------------------
-
-// Minimal extraction of the "directory" and "file" string values of each
-// entry. Good enough for every CMake-emitted database.
-bool ParseCompDb(const fs::path& path, std::vector<fs::path>& out,
-                 std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    error = "cannot read " + path.string();
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  auto read_string = [&](size_t& i) {
-    std::string s;
-    ++i;  // opening quote
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) {
-        char e = text[i + 1];
-        if (e == 'n')
-          s += '\n';
-        else if (e == 't')
-          s += '\t';
-        else if (e == 'u') {
-          i += 4;  // skip the hex digits; exotic paths are out of scope
-        } else
-          s += e;
-        i += 2;
-      } else {
-        s += text[i++];
-      }
-    }
-    ++i;  // closing quote
-    return s;
-  };
-
-  std::string key, directory, file;
-  bool expect_value = false;
-  for (size_t i = 0; i < text.size();) {
-    char c = text[i];
-    if (c == '"') {
-      std::string s = read_string(i);
-      if (expect_value) {
-        if (key == "directory") directory = s;
-        if (key == "file") file = s;
-        expect_value = false;
-      } else {
-        key = s;
-      }
-      continue;
-    }
-    if (c == ':') expect_value = true;
-    if (c == '{') directory = file = "";
-    if (c == '}') {
-      if (!file.empty()) {
-        fs::path p(file);
-        if (p.is_relative() && !directory.empty()) p = fs::path(directory) / p;
-        out.push_back(p);
-      }
-      file = "";
-    }
-    ++i;
-  }
-  return true;
-}
-
 // ---- driver -------------------------------------------------------------
 
 int Usage(int code) {
-  std::cerr
-      << "usage: cfl_analyze --root DIR [--compdb FILE] [--json]\n"
-      << "  Whole-program analysis of every .h/.cc/.cpp under DIR/src.\n"
-      << "  --compdb cross-checks the scan against a compile_commands.json\n"
-      << "  (every TU under DIR/src must be covered).\n"
-      << "  --json emits one JSON document instead of gcc-style lines.\n";
+  std::cerr << "usage: cfl_analyze [--root DIR]\n"
+            << "  Single-file rules over every .h/.cc/.cpp under DIR/src,\n"
+            << "  DIR/bench and DIR/tools; whole-program rules over DIR/src\n"
+            << "  (DIR defaults to `.`).\n";
   return code;
 }
 
@@ -1815,18 +2000,10 @@ int Usage(int code) {
 
 int main(int argc, char** argv) {
   fs::path root = ".";
-  fs::path compdb;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--root") {
-      if (i + 1 >= argc) return Usage(2);
+    if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--compdb") {
-      if (i + 1 >= argc) return Usage(2);
-      compdb = argv[++i];
-    } else if (arg == "--json") {
-      json = true;
     } else if (arg == "--help" || arg == "-h") {
       return Usage(0);
     } else {
@@ -1836,107 +2013,50 @@ int main(int argc, char** argv) {
   }
 
   std::error_code ec;
-  fs::path src_dir = root / "src";
-  if (!fs::is_directory(src_dir, ec)) {
+  if (!fs::is_directory(root / "src", ec)) {
     std::cerr << "cfl_analyze: no src/ under " << root << "\n";
     return 2;
   }
   std::vector<std::string> paths;
-  for (fs::recursive_directory_iterator it(src_dir, ec), end;
-       it != end && !ec; it.increment(ec)) {
-    if (it->is_regular_file(ec) &&
-        cfl::lint::HasLintableExtension(it->path())) {
-      paths.push_back(it->path().string());
+  for (const char* top : {"src", "bench", "tools"}) {
+    const fs::path dir = root / top;
+    if (!fs::is_directory(dir, ec)) continue;
+    for (fs::recursive_directory_iterator it(dir, ec), end;
+         it != end && !ec; it.increment(ec)) {
+      if (it->is_regular_file(ec) && HasSourceExtension(it->path())) {
+        paths.push_back(it->path().string());
+      }
     }
   }
   std::sort(paths.begin(), paths.end());
 
-  std::vector<AnalyzedFile> files;
-  files.reserve(paths.size());
-  const std::string root_prefix =
-      fs::path(root).lexically_normal().generic_string();
+  // `program` is src/, the whole-program rules' scope; bench/ and tools/
+  // get the single-file rules only.
+  std::vector<SourceFile> program;
+  std::vector<SourceFile> others;
   for (const std::string& p : paths) {
-    AnalyzedFile af;
-    if (!cfl::lint::LoadSourceFile(p, fs::path(p), af.src)) {
+    SourceFile f;
+    if (!LoadSourceFile(root, p, f)) {
       std::cerr << "cfl_analyze: cannot read " << p << "\n";
       return 2;
     }
-    std::string rel =
-        fs::path(p).lexically_proximate(root).generic_string();
-    af.rel = rel;
-    af.module = ModuleOf(rel);
-    af.toks = Tokenize(af.src);
-    files.push_back(std::move(af));
+    (StartsWith(f.rel, "src/") ? program : others).push_back(std::move(f));
   }
 
   std::vector<Diagnostic> diags;
+  for (const SourceFile& f : program) CheckFile(f, diags);
+  for (const SourceFile& f : others) CheckFile(f, diags);
 
-  // compile_commands cross-check: every TU the build compiles under src/
-  // must be in the scan, so "clean" provably covers the whole program.
-  if (!compdb.empty()) {
-    std::vector<fs::path> tus;
-    std::string error;
-    if (!ParseCompDb(compdb, tus, error)) {
-      std::cerr << "cfl_analyze: --compdb: " << error << "\n";
-      return 2;
-    }
-    std::set<std::string> scanned;
-    for (const AnalyzedFile& af : files) {
-      scanned.insert(fs::weakly_canonical(af.src.path, ec).string());
-    }
-    fs::path canon_src = fs::weakly_canonical(src_dir, ec);
-    for (const fs::path& tu : tus) {
-      fs::path canon = fs::weakly_canonical(tu, ec);
-      auto rel = canon.lexically_proximate(canon_src).generic_string();
-      if (rel.compare(0, 2, "..") == 0) continue;  // tools/tests/bench TU
-      if (scanned.count(canon.string()) == 0) {
-        diags.push_back({canon.string(), 1, 1, kLayering,
-                         "translation unit is in compile_commands.json but "
-                         "was not scanned — analyzer coverage hole"});
-      }
-    }
-  }
+  ConcurrencyModel model;
+  CollectMutexMembers(program, model, diags);
+  CollectVarTypes(program, model);
+  CollectFunctionDefs(program, model);
 
-  // Malformed allow-directives.
-  for (const AnalyzedFile& af : files) {
-    for (const cfl::lint::Allow& a : af.src.allows) {
-      if (!a.well_formed) {
-        diags.push_back({af.src.path, a.line, 1, kBadAllow, a.problem});
-      }
-    }
-  }
+  CheckLayering(program, diags);
+  for (const SourceFile& f : program) CheckNarrowing(f, diags);
+  CheckLockDiscipline(program, model, diags);
+  CheckAtomicIntent(program, diags);
 
-  // Whole-program index.
-  ProgramIndex index;
-  for (const AnalyzedFile& af : files) {
-    for (const ClassInfo& cls : FindClasses(af.toks)) {
-      if (cls.name.empty()) continue;
-      bool& marked = index.classes[cls.name];
-      marked = marked || cls.marked;
-    }
-    IndexFunctions(af, index);
-    IndexPoolVars(af, index);
-    IndexStatsFields(af, index);
-  }
-
-  // Concurrency model: mutex hierarchy, lockable-variable types, function
-  // definitions with body ranges.
-  ConcurrencyModel cmodel;
-  CollectMutexMembers(files, cmodel, diags);
-  CollectVarTypes(files, cmodel);
-  CollectFunctionDefs(files, cmodel);
-
-  // Rules.
-  CheckLayering(files, diags);
-  for (const AnalyzedFile& af : files) {
-    CheckSpanEscape(af, index, diags);
-    CheckNarrowing(af, diags);
-    CheckWorkerNoexcept(af, index, diags);
-    CheckStatsGate(af, index, diags);
-  }
-  CheckLockDiscipline(files, cmodel, diags);
-  CheckAtomicIntent(files, diags);
-
-  cfl::lint::PrintDiagnostics("cfl_analyze", diags, files.size(), json);
+  PrintDiagnostics(diags, program.size() + others.size());
   return diags.empty() ? 0 : 1;
 }

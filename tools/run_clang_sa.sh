@@ -51,7 +51,9 @@ for source in "${sources[@]}"; do
     "${source}" >> "${raw}" 2>&1 || true
 done
 
-grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error):' "${raw}" \
+# (grep exits 1 on a run with no findings; that is a clean run, not an
+# error under pipefail.)
+{ grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error):' "${raw}" || true; } \
   | sed "s|^${repo_root}/||" \
   | sed -E 's|^([^:]+):[0-9]+:[0-9]+:|\1:|' \
   | sort -u > "${raw}.cur"

@@ -7,11 +7,10 @@
 # reported so the baseline can be shrunk.
 #
 # Usage:
-#   tools/run_clang_tidy.sh [BUILD_DIR] [--update-baseline] [-- extra args]
+#   tools/run_clang_tidy.sh BUILD_DIR [--update-baseline] [-- extra args]
 #
-# BUILD_DIR is resolved by tools/find_build_dir.sh (argument, then
-# $CFL_BUILD_DIR, then the preset binary dirs) so clang-tidy and cfl_lint
-# share a single compile-commands path in CI.
+# BUILD_DIR is a configured build tree holding compile_commands.json (CI
+# passes build-release, the release preset's tree).
 #
 # Findings are normalized before comparison: the repo-root prefix and the
 # line:col are stripped (line numbers drift on every unrelated edit), so a
@@ -61,7 +60,11 @@ while [[ $# -gt 0 ]]; do
       ;;
   esac
 done
-build_dir="$("${repo_root}/tools/find_build_dir.sh" "${build_dir}")"
+if [[ ! -f "${build_dir}/compile_commands.json" ]]; then
+  echo "run_clang_tidy.sh: no compile_commands.json in '${build_dir}';" \
+       "configure first, e.g.: cmake --preset release" >&2
+  exit 2
+fi
 
 mapfile -t sources < <(find "${repo_root}/src" -name '*.cc' | sort)
 echo "clang-tidy (${tidy_bin}) over ${#sources[@]} files" \
@@ -77,7 +80,9 @@ for source in "${sources[@]}"; do
 done
 
 # Normalize: repo-root prefix off, line:col off, one finding per line.
-grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error):' "${raw}" \
+# (grep exits 1 on a run with no findings; that is a clean run, not an
+# error under pipefail.)
+{ grep -E '^[^ ]+:[0-9]+:[0-9]+: (warning|error):' "${raw}" || true; } \
   | sed "s|^${repo_root}/||" \
   | sed -E 's|^([^:]+):[0-9]+:[0-9]+:|\1:|' \
   | sort -u > "${raw}.cur"
